@@ -47,8 +47,7 @@ def format_stats(stats, timings=None, cache_backend=None) -> str:
     *stats* is an :class:`~repro.dataflow.context.AnalysisStats`;
     *timings* (optional) a :class:`~repro.driver.panorama.StageTimings`
     whose dataflow share contextualizes the counters; *cache_backend*
-    (optional) names the active durable summary tier, leading the line
-    the same way ``--profile`` leads with the constraint backend.
+    (optional) names the active durable summary tier, leading the line.
     """
     line = "analysis cost: "
     if cache_backend:
@@ -91,9 +90,7 @@ def format_perf(symbolic: dict) -> str:
     and per-cache hit/miss/eviction gauges.  Keys follow the flat
     ``repro.perf.profiler.snapshot`` naming scheme.
     """
-    from ..symbolic.matrix import backend_name
-
-    sections: list[str] = [f"constraint backend: {backend_name()}"]
+    sections: list[str] = []
     phases = sorted(
         {k[5:].rsplit(".", 1)[0] for k in symbolic if k.startswith("time.")}
     )
@@ -137,6 +134,6 @@ def format_perf(symbolic: dict) -> str:
                 title="symbolic caches",
             )
         )
-    if len(sections) == 1:
-        return sections[0] + "\nno profiling data recorded"
+    if not sections:
+        return "no profiling data recorded"
     return "\n\n".join(sections)

@@ -316,6 +316,32 @@ def _analyze_item(
         )
 
 
+#: how often an idle pool worker checks that its parent is still alive
+_PARENT_POLL_S = 0.25
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the parent process is gone.
+
+    A coordinator that dies without cleanup (``SIGKILL``, ``os._exit``)
+    never shuts its pool down, and a forked worker blocked on the call
+    queue never sees EOF (it inherited the queue's write end), so it
+    would wait forever.  A daemon thread watches for reparenting.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
+def _new_pool(workers: int) -> ProcessPoolExecutor:
+    return ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
+
+
 def _worker_main(args: tuple) -> BatchItemResult:
     (
         item,
@@ -662,7 +688,7 @@ class BatchEngine:
         pending: dict[Any, tuple[int, Optional[float]]] = {}
         rng = random.Random(self.retry_seed)
         sup = self.supervision
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = _new_pool(workers)
         # probe mode: after a pool breakage the culprit cannot be
         # attributed, so items are dispatched one at a time until a
         # worker round-trips successfully — a persistently crashing item
@@ -716,7 +742,7 @@ class BatchEngine:
         def rebuild_pool() -> ProcessPoolExecutor:
             sup["pool_rebuilds"] += 1
             self._teardown_pool(pool)
-            return ProcessPoolExecutor(max_workers=workers)
+            return _new_pool(workers)
 
         draining = False
         drain_deadline: Optional[float] = None

@@ -25,12 +25,6 @@ from ..driver.panorama import CompilationResult, LoopReport, StageTimings
 from .cache import CacheStats
 
 
-def _constraint_backend() -> str:
-    from ..symbolic.matrix import backend_name
-
-    return backend_name()
-
-
 # --------------------------------------------------------------------------- #
 # serializers (shared by `panorama --json` and the batch engine)
 # --------------------------------------------------------------------------- #
@@ -267,7 +261,6 @@ class EngineTelemetry:
             "cache": self.cache.as_dict(),
             "cache_backend": self.cache_backend,
             "symbolic": dict(self.symbolic),
-            "constraint_backend": _constraint_backend(),
             "resilience": dict(self.resilience),
             "audit": dict(self.audit),
             "sched": dict(self.sched),

@@ -22,13 +22,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
-from ..symbolic import (
-    Comparer,
-    Predicate,
-    SymExpr,
-    predicate_unsat,
-    predicate_unsat_many,
-)
+from ..symbolic import Comparer, Predicate, SymExpr, predicate_unsat
 from .ranges import Range
 from .region import OMEGA_DIM, RegularRegion
 
@@ -186,13 +180,11 @@ class GARList:
     def provably_empty(self, use_fm: bool = True) -> bool:
         """Is the guard provably unsatisfiable?
 
-        All member guards go to the constraint core as one batch.
+        Every member guard is decided, in order, without short-circuiting,
+        so memo fills and work counters do not depend on which member is
+        satisfiable.
         """
-        if not self.gars:
-            return True
-        return all(
-            predicate_unsat_many([g.guard for g in self.gars], use_fm=use_fm)
-        )
+        return all([g.provably_empty(use_fm=use_fm) for g in self.gars])
 
     def is_exact(self) -> bool:
         """Are all members exact?"""

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from ..perf.profiler import COUNTERS, MISS, BoundedCache, timed
 from ..resilience.budget import charge as _budget_charge
-from ..symbolic import Comparer, predicate_implies, predicate_unsat_many
+from ..symbolic import Comparer, predicate_implies
 from .gar import GAR, GARList
 from .region_ops import region_covers, region_union
 
@@ -95,16 +95,10 @@ def _simplify_gar_list_uncached(gars: GARList, cmp: Comparer) -> GARList:
             cached = empties[g] = g.provably_empty(use_fm=cmp.use_fm)
         return cached
 
-    # pre-screen every member's guard in one batch submission to the
-    # constraint core instead of one FM entry per member
     members = list(gars)
-    if members:
-        COUNTERS.gar_emptiness_checks += len(members)
-        verdicts = predicate_unsat_many(
-            [g.guard for g in members], use_fm=cmp.use_fm
-        )
-        for g, verdict in zip(members, verdicts):
-            empties[g] = verdict
+    COUNTERS.gar_emptiness_checks += len(members)
+    for g in members:
+        empties[g] = g.provably_empty(use_fm=cmp.use_fm)
     work = [g for g in members if not empties[g]]
     if len(work) <= 1:
         return GARList(work)

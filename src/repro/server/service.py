@@ -50,7 +50,6 @@ from ..engine.incremental import IncrementalEngine
 from ..engine.telemetry import EngineTelemetry, loop_report_row, result_to_dict
 from ..errors import ReproError, classify_exception
 from ..perf import profiler
-from ..symbolic.matrix import backend_name as _matrix_backend
 
 #: event type tags of the NDJSON stream, in emission order
 STREAM_EVENTS = ("routine_started", "loop_verdict", "diagnostic", "done")
@@ -512,7 +511,6 @@ class AnalysisService:
             # lifetime symbolic gauges + the headline warm-cache number
             "perf": snap,
             "hit_rate": profiler.hit_rate(snap),
-            "constraint_backend": _matrix_backend(),
             "cache_backend": self.cache.backend_name,
             "summary_cache": self.cache.stats.as_dict(),
             # batch-style roll-up: timings/stats/resilience/audit counters

@@ -7,15 +7,10 @@ guard predicates in conjunctive normal form with a pairwise simplifier,
 and a Fourier-Motzkin refutation engine used as the stronger fallback.
 """
 
-from .compare import (
-    Comparer,
-    predicate_implies,
-    predicate_unsat,
-    predicate_unsat_many,
-)
+from .compare import Comparer, predicate_implies, predicate_unsat
 from .environment import Env, all_envs
 from .expr import ONE, ZERO, ExprLike, SymExpr, sym
-from .fourier_motzkin import definitely_unsat, definitely_unsat_many, implied_by
+from .fourier_motzkin import definitely_unsat, implied_by
 from .predicate import FALSE, TRUE, UNKNOWN, Disjunction, Predicate
 from .relation import Atom, BoolAtom, Relation, RelOp
 from .terms import Monomial
@@ -39,10 +34,8 @@ __all__ = [
     "ZERO",
     "all_envs",
     "definitely_unsat",
-    "definitely_unsat_many",
     "implied_by",
     "predicate_implies",
     "predicate_unsat",
-    "predicate_unsat_many",
     "sym",
 ]

@@ -14,12 +14,12 @@ means "cannot tell" and the caller must keep the symbolic case split.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
 from ..perf.profiler import COUNTERS, MISS, BoundedCache
 from ..resilience.budget import charge as _budget_charge
 from .expr import ExprLike, SymExpr
-from .fourier_motzkin import definitely_unsat, definitely_unsat_many, implied_by
+from .fourier_motzkin import definitely_unsat, implied_by
 from .predicate import Predicate
 from .relation import Atom, Relation
 
@@ -90,14 +90,11 @@ class Comparer:
                 return False
         if self.use_fm:
             COUNTERS.prove_fm_queries += 1
-            # both refutation systems in one batch submission:
-            # ctx => r  is unsat(ctx + not r);  ctx => not r  is unsat(ctx + r)
-            proved, refuted = definitely_unsat_many(
-                [
-                    self._context_atoms + [relation.negate()],
-                    self._context_atoms + [relation],
-                ]
-            )
+            # ctx => r  is unsat(ctx + not r);  ctx => not r  is unsat(ctx + r).
+            # Both systems are always decided, so the memo fills and work
+            # counters do not depend on which one succeeds.
+            proved = definitely_unsat(self._context_atoms + [relation.negate()])
+            refuted = definitely_unsat(self._context_atoms + [relation])
             if proved:
                 return True
             if refuted:
@@ -198,37 +195,6 @@ def predicate_unsat(pred: Predicate, use_fm: bool = True) -> bool:
     if cached is not MISS:
         return cached
     return _PRED_UNSAT_CACHE.put(pred, definitely_unsat(pred.unit_atoms()))
-
-
-def predicate_unsat_many(
-    preds: Sequence[Predicate], use_fm: bool = True
-) -> List[bool]:
-    """Batch form of :func:`predicate_unsat`.
-
-    The region layer produces whole lists of guards per propagation step
-    (GAR-list emptiness, simplification pre-screening); this submits every
-    unresolved guard's atom system to the constraint core in one call.
-    """
-    out: list = [None] * len(preds)
-    pending: list[int] = []
-    for i, pred in enumerate(preds):
-        if pred.is_false():
-            out[i] = True
-        elif not pred.is_cnf() or not use_fm:
-            out[i] = False
-        else:
-            cached = _PRED_UNSAT_CACHE.get(pred)
-            if cached is not MISS:
-                out[i] = cached
-            else:
-                pending.append(i)
-    if pending:
-        verdicts = definitely_unsat_many(
-            [preds[i].unit_atoms() for i in pending]
-        )
-        for i, verdict in zip(pending, verdicts):
-            out[i] = _PRED_UNSAT_CACHE.put(preds[i], verdict)
-    return out
 
 
 def predicate_implies(p: Predicate, q: Predicate, use_fm: bool = True) -> bool:

@@ -22,26 +22,15 @@ Disequalities (``e != 0``) are handled by case-splitting (into
 ``e <= -1`` / ``e >= 1`` for integer atoms, ``e < 0`` / ``e > 0`` for real
 ones) up to a small bound, after which they are dropped — dropping only
 weakens the system, so a True result remains trustworthy.
-
-Backends.  The hot path runs on the vectorized matrix core
-(:mod:`repro.symbolic.matrix`): int64 ndarrays under numpy, exact
-arbitrary-precision row lists otherwise.  This module keeps the original
-object-layer eliminator as the *reference oracle*: select it outright
-with ``PANORAMA_CONSTRAINT_BACKEND=object``, or set ``PANORAMA_FM_ORACLE=1``
-to run both on every query and raise on any disagreement.  Both paths use
-the same pivot rule (min ``pos*neg``, ties to the smallest monomial sort
-key) and hit the same effort caps at the same points, so verdicts —
-including ``None`` bail-outs — are bit-identical.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from ..perf.profiler import COUNTERS, MISS, BoundedCache
 from ..resilience.budget import charge as _budget_charge
-from . import matrix as _matrix
 from .expr import SymExpr
 from .relation import Atom, BoolAtom, Relation, RelOp
 
@@ -123,7 +112,7 @@ def _eliminate(constraints: list[_Constraint]) -> Optional[bool]:
             return None
 
         # pivot: fewest pos*neg products, ties broken by the canonical
-        # monomial order so every backend picks the same variable
+        # monomial order so the choice never depends on set iteration
         var = min(pos, key=lambda v: (pos[v] * neg[v], v.sort_key()))
         uppers = []  # coeff > 0: var bounded above
         lowers = []  # coeff < 0: var bounded below
@@ -206,40 +195,6 @@ def definitely_unsat(atoms: Iterable[Atom]) -> bool:
     return _UNSAT_CACHE.put(key, _definitely_unsat(key))
 
 
-def definitely_unsat_many(atom_sets: Sequence[Iterable[Atom]]) -> List[bool]:
-    """Batch form of :func:`definitely_unsat`.
-
-    The dependence tests and region operations accumulate many atom
-    systems per propagation step; submitting them together consults the
-    memo once per distinct system and decides only the residue.
-    """
-    keys = [frozenset(atoms) for atoms in atom_sets]
-    COUNTERS.fm_batched_queries += len(keys)
-    out: list = [None] * len(keys)
-    pending: dict[frozenset, list[int]] = {}
-    for i, key in enumerate(keys):
-        cached = _UNSAT_CACHE.get(key)
-        if cached is not MISS:
-            out[i] = cached
-        else:
-            pending.setdefault(key, []).append(i)
-    for key, slots in pending.items():
-        verdict = _UNSAT_CACHE.put(key, _definitely_unsat(key))
-        for i in slots:
-            out[i] = verdict
-    return out
-
-
-def _unsat_object(relations: list[Relation]) -> bool:
-    """The reference object-layer decision: every case-split system must
-    eliminate to infeasible."""
-    for system in _atoms_to_systems(relations, MAX_NE_SPLITS):
-        COUNTERS.fm_eliminations += 1
-        if _eliminate(system) is not True:
-            return False
-    return True
-
-
 def _definitely_unsat(atoms: frozenset) -> bool:
     relations: list[Relation] = []
     bools: dict[str, bool] = {}
@@ -256,20 +211,12 @@ def _definitely_unsat(atoms: frozenset) -> bool:
                 relations.append(atom)
     if not relations:
         return False
-    if not _matrix.matrix_active():
-        return _unsat_object(relations)
-    verdict = _matrix.unsat_conjunction(
-        relations, MAX_NE_SPLITS, MAX_VARIABLES, MAX_CONSTRAINTS
-    )
-    if _matrix.oracle_enabled():
-        COUNTERS.fm_oracle_crosschecks += 1
-        reference = _unsat_object(relations)
-        if reference != verdict:
-            raise AssertionError(
-                f"constraint backend divergence: matrix[{_matrix.backend_name()}]"
-                f"={verdict} object={reference} for {sorted(map(str, relations))}"
-            )
-    return verdict
+    # every case-split system must eliminate to infeasible
+    for system in _atoms_to_systems(relations, MAX_NE_SPLITS):
+        COUNTERS.fm_eliminations += 1
+        if _eliminate(system) is not True:
+            return False
+    return True
 
 
 def implied_by(context: Iterable[Atom], conclusion: Atom) -> bool:

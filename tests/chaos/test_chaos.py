@@ -359,6 +359,33 @@ class TestCrashResume:
             env=env, cwd=tmp_path, text=True, timeout=300, **io,
         )
 
+    @staticmethod
+    def survivors(marker: str, wait_s: float) -> list[int]:
+        """Pids of live processes whose command line contains *marker*,
+        polled until none are left or *wait_s* runs out (zombies have an
+        empty command line, so reaped-or-not dead workers never count)."""
+        import time as _time
+
+        proc = Path("/proc")
+        if not (proc / "self" / "cmdline").exists():
+            pytest.skip("needs /proc to list processes")
+        needle = marker.encode()
+        deadline = _time.monotonic() + wait_s
+        while True:
+            alive = []
+            for entry in proc.iterdir():
+                if not entry.name.isdigit():
+                    continue
+                try:
+                    cmdline = (entry / "cmdline").read_bytes()
+                except OSError:
+                    continue
+                if needle in cmdline:
+                    alive.append(int(entry.name))
+            if not alive or _time.monotonic() >= deadline:
+                return alive
+            _time.sleep(0.2)
+
     def scoreboard(self, path) -> dict:
         import json
 
@@ -366,6 +393,9 @@ class TestCrashResume:
         return {k: stats[k] for k in self.SCOREBOARD}
 
     def test_hard_crash_then_resume_matches_uninterrupted(self, tmp_path):
+        import os as _os
+        import signal as _signal
+
         ref = self.campaign(
             tmp_path, "--cache-dir", str(tmp_path / "ref-cache"),
             "--stats-json", str(tmp_path / "ref.json"),
@@ -382,6 +412,12 @@ class TestCrashResume:
         )
         assert crashed.returncode == 86  # os._exit(86)
         assert ledger.exists()
+        # the dead coordinator's pool workers must not outlive it: they
+        # are forks, so their command line still names this run's ledger
+        orphans = self.survivors(str(ledger), wait_s=10.0)
+        for pid in orphans:  # never leak them past a failing run
+            _os.kill(pid, _signal.SIGKILL)
+        assert orphans == []
 
         resumed = self.campaign(
             tmp_path, "--cache-dir", str(tmp_path / "cache"),

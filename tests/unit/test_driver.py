@@ -4,7 +4,7 @@ import pytest
 
 from repro import AnalysisOptions, LoopStatus, Panorama
 from repro.driver.cli import main as cli_main
-from repro.driver.report import format_table, yes_no
+from repro.driver.report import format_perf, format_table, yes_no
 
 SOURCE = (
     "      SUBROUTINE smooth(a, b, n, m)\n"
@@ -149,6 +149,12 @@ class TestReportHelpers:
 
     def test_yes_no(self):
         assert yes_no(True) == "Yes" and yes_no(False) == "No"
+
+    def test_format_perf_sections(self):
+        assert format_perf({}) == "no profiling data recorded"
+        text = format_perf({"counter.prove_calls": 3})
+        assert text.startswith("hot-path counters")
+        assert "prove_calls" in text
 
 
 class TestCopyOut:

@@ -3,6 +3,7 @@
 from repro.symbolic import (
     BoolAtom,
     Relation,
+    RelOp,
     definitely_unsat,
     implied_by,
     sym,
@@ -52,6 +53,32 @@ class TestUnsat:
     def test_ne_split_satisfiable(self):
         atoms = [Relation.ne("i", 3), Relation.ge("i", 3), Relation.le("i", 4)]
         assert not definitely_unsat(atoms)
+
+    def test_ne_split_against_equality(self):
+        # x == y and x != y: the contradiction is found in both NE branches
+        x, y = sym("x"), sym("y")
+        assert definitely_unsat([Relation.eq(x, y), Relation.ne(x, y)])
+
+    def test_strict_real_atoms(self):
+        # x < y alone is satisfiable; so is the real chain x < y < x + 1,
+        # which would be empty over the integers
+        lt_xy = Relation.lt("x", "y", integer=False)
+        assert not definitely_unsat([lt_xy])
+        assert not definitely_unsat(
+            [lt_xy, Relation.lt("y", sym("x") + 1, integer=False)]
+        )
+
+    def test_huge_real_coefficients_unsat(self):
+        # x * 2**63 <= -1 and x * 2**63 >= 1 over the reals.  Real atoms
+        # are never tightened by a gcd, so the elimination itself must
+        # carry coefficients beyond 64 bits exactly.
+        x = sym("x")
+        big = 2**63
+        atoms = [
+            Relation(x * big + 1, RelOp.LE, integer=False),
+            Relation(1 - x * big, RelOp.LE, integer=False),
+        ]
+        assert definitely_unsat(atoms)
 
     def test_strict_real_conflict(self):
         # x < y and y < x
