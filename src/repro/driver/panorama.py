@@ -242,6 +242,11 @@ class Panorama:
 
     def compile(self, source: str) -> CompilationResult:
         """Run the full pipeline on Fortran source text."""
+        if self.options.budget_steps is not None:
+            # steps are charged for work actually done and memo hits skip
+            # work, so a step-budgeted compile starts cold: where it runs
+            # out must not depend on what this process analyzed before
+            profiler.clear_caches()
         perf_before = profiler.snapshot()
         timings = StageTimings()
         t0 = time.perf_counter()

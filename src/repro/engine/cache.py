@@ -49,8 +49,11 @@ from .backends import CacheBackend, DiskBackend, make_backend
 #: before unpickling and quarantined instead of trusted;
 #: v4: the frontier pass (content facts + scan recognition) changes
 #: summaries through derived index-array forms, and its toggle joined
-#: options_key — stale v3 verdicts must not be served either way)
-CACHE_FORMAT_VERSION = 4
+#: options_key — stale v3 verdicts must not be served either way;
+#: v5: clauses, predicates, ranges, regions and GARs are interned and
+#: pickle through their interning constructors — v4 pickles carried
+#: their per-process slot hashes, which compare unequal under another seed)
+CACHE_FORMAT_VERSION = 5
 
 #: on-disk container magic; the digest that follows covers the payload
 DISK_MAGIC = b"PANC\x03\n"

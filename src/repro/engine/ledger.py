@@ -144,6 +144,16 @@ def verify_identity(
         )
 
 
+def _ends_mid_line(path: Path) -> bool:
+    """Does the (non-empty) file end without a newline?"""
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            return fh.read(1) != b"\n"
+    except OSError:  # missing or empty
+        return False
+
+
 class LedgerWriter:
     """Append-only writer for one run's journal.
 
@@ -166,8 +176,14 @@ class LedgerWriter:
         #: set by the ledger.write fault: a torn line must stay final,
         #: so the wedged writer drops every subsequent record
         self._broken = False
+        # a crash can leave the final line unterminated; appending to it
+        # would glue the resume record on (losing the header outright when
+        # the cut fell right before the header's newline)
+        dangling = resume and _ends_mid_line(self.path)
         self._fh = open(self.path, "a" if resume else "w", encoding="utf-8")
         if resume:
+            if dangling:
+                self._fh.write("\n")
             self._record({"type": "resume", "pid": os.getpid()})
         else:
             self._record(

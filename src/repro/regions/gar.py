@@ -22,26 +22,56 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
+from ..perf.profiler import MISS, BoundedCache
 from ..symbolic import Comparer, Predicate, SymExpr, predicate_unsat
 from .ranges import Range
 from .region import OMEGA_DIM, RegularRegion
 
+#: raw or normalized (guard, region, exact) → the interned GAR
+_INTERN = BoundedCache("gar.intern", maxsize=16384)
+
 
 class GAR:
-    """An immutable guarded array region ``[P, R]``."""
+    """An immutable guarded array region ``[P, R]``.
 
-    __slots__ = ("guard", "region", "exact", "_hash")
+    Interned like a relation: on the raw ``(guard, region, exact)`` triple
+    and on the normalized one, so the guard conjunction runs once per
+    distinct triple.
+    """
 
-    def __init__(
-        self, guard: Predicate, region: RegularRegion, exact: bool = True
-    ) -> None:
+    __slots__ = ("guard", "region", "exact", "array", "_hash")
+
+    def __new__(
+        cls, guard: Predicate, region: RegularRegion, exact: bool = True
+    ) -> "GAR":
+        raw = (guard, region, exact)
+        cached = _INTERN.get(raw)
+        if cached is not MISS:
+            return cached
         guard = guard & region.nonempty_pred()
         if guard.is_unknown() or not region.is_fully_known():
             exact = False
+        key = (guard, region, exact)
+        if key != raw:
+            cached = _INTERN.get(key)
+            if cached is not MISS:
+                return _INTERN.put(raw, cached)
+        self = object.__new__(cls)
         self.guard = guard
         self.region = region
         self.exact = exact
-        self._hash = hash((self.guard, self.region, self.exact))
+        #: the region's array, read on every pair the simplifier visits
+        self.array = region.array
+        self._hash = hash(key)
+        _INTERN.put(key, self)
+        if key != raw:
+            _INTERN.put(raw, self)
+        return self
+
+    def __reduce__(self):
+        # the guard already carries the region's conditions, so this
+        # rebuilds the identical value (with this process's hash)
+        return (GAR, (self.guard, self.region, self.exact))
 
     # -- constructors --------------------------------------------------------
 
@@ -61,10 +91,6 @@ class GAR:
         return cls(Predicate.unknown(), RegularRegion.omega(array, rank), exact=False)
 
     # -- tests --------------------------------------------------------------------
-
-    @property
-    def array(self) -> str:
-        return self.region.array
 
     def is_empty(self) -> bool:
         """Statically empty (guard already normalized to False)."""
@@ -134,8 +160,9 @@ class GAR:
     # -- identity ----------------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, GAR)
+            and self._hash == other._hash
             and self.guard == other.guard
             and self.region == other.region
             and self.exact == other.exact
@@ -162,6 +189,10 @@ class GARList:
         # hashing builds a frozenset (order-insensitive, matching __eq__);
         # most lists are never used as keys, so defer it
         self._hash = None
+
+    def __reduce__(self):
+        # a cached _hash is per-process: never pickle it
+        return (GARList, (self.gars,))
 
     @classmethod
     def empty(cls) -> "GARList":

@@ -114,7 +114,8 @@ def _simplify_gar_list_uncached(gars: GARList, cmp: Comparer) -> GARList:
                 continue
             current = g1
             for j in range(i + 1, len(work)):
-                if j in consumed:
+                # GARs of different arrays never merge or cover each other
+                if j in consumed or work[j].array != g1.array:
                     continue
                 candidate = _try_merge(current, work[j], cmp)
                 if candidate is not None:
@@ -129,7 +130,7 @@ def _simplify_gar_list_uncached(gars: GARList, cmp: Comparer) -> GARList:
         for i, g in enumerate(work):
             redundant = False
             for j, other in enumerate(work):
-                if i == j or j in removed:
+                if i == j or j in removed or other.array != g.array:
                     continue
                 if _covers(other, g, cmp) and not (_covers(g, other, cmp) and j > i):
                     redundant = True

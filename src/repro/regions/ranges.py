@@ -21,26 +21,39 @@ from __future__ import annotations
 from typing import List, Mapping, Optional, Tuple
 
 from ..errors import RegionError
+from ..perf.profiler import MISS, BoundedCache
 from ..symbolic import Comparer, ExprLike, Predicate, SymExpr
 
 GuardedRange = Tuple[Predicate, "Range"]
 GuardedRangeList = List[GuardedRange]
 
+#: (lo, hi, step) → the interned range
+_INTERN = BoundedCache("range.intern", maxsize=16384)
+
 
 class Range:
-    """An immutable symbolic range triple ``(lo : hi : step)``."""
+    """An immutable symbolic range triple ``(lo : hi : step)``, interned
+    on the triple so its non-emptiness predicate is built once."""
 
     __slots__ = ("lo", "hi", "step", "_hash", "_nonempty")
 
-    def __init__(self, lo: ExprLike, hi: ExprLike, step: ExprLike = 1) -> None:
-        self.lo = SymExpr.coerce(lo)
-        self.hi = SymExpr.coerce(hi)
-        self.step = SymExpr.coerce(step)
-        sv = self.step.constant_value()
+    def __new__(cls, lo: ExprLike, hi: ExprLike, step: ExprLike = 1) -> "Range":
+        key = (SymExpr.coerce(lo), SymExpr.coerce(hi), SymExpr.coerce(step))
+        cached = _INTERN.get(key)
+        if cached is not MISS:
+            return cached
+        sv = key[2].constant_value()
         if sv is not None and sv <= 0:
             raise RegionError(f"range step must be positive, got {sv}")
-        self._hash = hash((self.lo, self.hi, self.step))
+        self = object.__new__(cls)
+        self.lo, self.hi, self.step = key
+        self._hash = hash(key)
         self._nonempty = None
+        return _INTERN.put(key, self)
+
+    def __reduce__(self):
+        # rebuild through the intern table: _hash is per-process
+        return (Range, (self.lo, self.hi, self.step))
 
     @classmethod
     def point(cls, at: ExprLike) -> "Range":
@@ -119,8 +132,9 @@ class Range:
     # -- identity -------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Range)
+            and self._hash == other._hash
             and self.lo == other.lo
             and self.hi == other.hi
             and self.step == other.step

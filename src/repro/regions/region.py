@@ -14,8 +14,12 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import RegionError
+from ..perf.profiler import MISS, BoundedCache
 from ..symbolic import Predicate, SymExpr
 from .ranges import Range
+
+#: (array, dims) → the interned region
+_INTERN = BoundedCache("region.intern", maxsize=16384)
 
 
 class _OmegaDim:
@@ -40,17 +44,28 @@ Dim = Union[Range, _OmegaDim]
 
 
 class RegularRegion:
-    """An immutable rectangular region of a named array."""
+    """An immutable rectangular region of a named array, interned on
+    ``(array, dims)``."""
 
     __slots__ = ("array", "dims", "_hash", "_nonempty")
 
-    def __init__(self, array: str, dims: Sequence[Dim]) -> None:
+    def __new__(cls, array: str, dims: Sequence[Dim]) -> "RegularRegion":
+        key = (array, tuple(dims))
+        cached = _INTERN.get(key)
+        if cached is not MISS:
+            return cached
         if not dims:
             raise RegionError(f"region of {array!r} needs at least one dimension")
+        self = object.__new__(cls)
         self.array = array
-        self.dims: Tuple[Dim, ...] = tuple(dims)
-        self._hash = hash((self.array, self.dims))
+        self.dims: Tuple[Dim, ...] = key[1]
+        self._hash = hash(key)
         self._nonempty = None
+        return _INTERN.put(key, self)
+
+    def __reduce__(self):
+        # rebuild through the intern table: _hash is per-process
+        return (RegularRegion, (self.array, self.dims))
 
     # -- constructors ---------------------------------------------------------
 
@@ -167,8 +182,9 @@ class RegularRegion:
     # -- identity -----------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, RegularRegion)
+            and self._hash == other._hash
             and self.array == other.array
             and self.dims == other.dims
         )

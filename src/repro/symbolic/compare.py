@@ -210,10 +210,12 @@ def predicate_implies(p: Predicate, q: Predicate, use_fm: bool = True) -> bool:
         return cached
     context = p.unit_atoms()
     # q holds if every clause of q is implied; for unit clauses use FM,
-    # for wider clauses require some atom individually implied.
+    # for wider clauses require some atom individually implied.  Both
+    # loops stop early, so walk them in canonical order: which FM systems
+    # get built must not depend on set iteration order.
     result = True
-    for clause in q.clauses:
-        if not any(implied_by(context, atom) for atom in clause.atoms):
+    for clause in sorted(q.clauses, key=lambda c: c.sort_key()):
+        if not any(implied_by(context, atom) for atom in clause.sorted_atoms()):
             result = False
             break
     return _IMPLIES_CACHE.put(key, result)

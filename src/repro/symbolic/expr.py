@@ -305,9 +305,14 @@ class SymExpr:
     # -- misc -------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
+        if self is other:
+            return True
+        if type(other) is not SymExpr:
+            # exact type test first: the ABC check below is slow
+            if not isinstance(other, (int, Fraction)):
+                return False
             other = SymExpr.const(other)
-        return isinstance(other, SymExpr) and self._terms == other._terms
+        return self._hash == other._hash and self._terms == other._terms
 
     def __hash__(self) -> int:
         return self._hash

@@ -167,6 +167,9 @@ def _atoms_to_systems(
             base.append(_to_constraint(-atom.expr))
         else:  # NE
             nes.append(atom)
+    # atoms arrive in set order: fix which splits are kept, and in which
+    # order the systems are tried, by the canonical atom order
+    nes.sort(key=lambda a: a.sort_key())
     if len(nes) > splits_left:
         COUNTERS.fm_ne_splits_dropped += len(nes) - splits_left
     nes = nes[:splits_left]  # drop extras (weakens the system: still sound)

@@ -20,19 +20,16 @@ from typing import Iterable, Mapping, Optional
 
 from ..perf.profiler import MISS, BoundedCache
 from .expr import SymExpr
-from .relation import Atom, BoolAtom, Relation
+from .relation import Atom, BoolAtom, Relation, RelOp
 
 #: complexity caps beyond which predicate operations degrade to UNKNOWN
 MAX_CLAUSES = 80
 MAX_ATOMS_PER_CLAUSE = 24
 
-#: memo tables for the CNF-normalizing logical connectives — conj/disj
-#: redo pairwise simplification from scratch on every call, and guard
-#: algebra in the region layers conjoins the same few predicates over
-#: and over; keys are the (hashable) operand predicates themselves
-_CONJ_CACHE = BoundedCache("predicate.conj", maxsize=8192)
-_DISJ_CACHE = BoundedCache("predicate.disj", maxsize=8192)
-_NEG_CACHE = BoundedCache("predicate.negate", maxsize=8192)
+#: hash-consing (docs/performance.md, Layer 1): a clause is interned on
+#: its atom set, a predicate on its raw and on its simplified clause set
+_CLAUSE_INTERN = BoundedCache("disjunction.intern", maxsize=16384)
+_INTERN = BoundedCache("predicate.intern", maxsize=16384)
 
 
 class _Kind(enum.Enum):
@@ -47,7 +44,12 @@ class Disjunction:
 
     __slots__ = ("atoms", "always_true", "_hash")
 
-    def __init__(self, atoms: Iterable[Atom]) -> None:
+    def __new__(cls, atoms: Iterable[Atom]) -> "Disjunction":
+        atoms = list(atoms)
+        raw = frozenset(atoms)
+        self = _CLAUSE_INTERN.get(raw)
+        if self is not MISS:
+            return self
         kept: list[Atom] = []
         always_true = False
         for atom in atoms:
@@ -59,11 +61,16 @@ class Disjunction:
                 continue
             kept.append(atom)
         if not always_true:
-            kept = self._prune(kept)
-            always_true = self._is_tautology(kept)
+            kept = cls._prune(kept)
+            always_true = cls._is_tautology(kept)
+        self = object.__new__(cls)
         self.always_true = always_true
         self.atoms: frozenset[Atom] = frozenset() if always_true else frozenset(kept)
         self._hash = hash((self.always_true, self.atoms))
+        return _CLAUSE_INTERN.put(raw, self)
+
+    def __reduce__(self):  # see Predicate.__reduce__
+        return (Disjunction, (_TAUTOLOGY if self.always_true else self.atoms,))
 
     @staticmethod
     def _prune(atoms: list[Atom]) -> list[Atom]:
@@ -113,10 +120,6 @@ class Disjunction:
             any(a.implies(b) is True for b in other.atoms) for a in self.atoms
         )
 
-    def without_atoms(self, gone: set[Atom]) -> "Disjunction":
-        """The clause with the given atoms removed."""
-        return Disjunction(a for a in self.atoms if a not in gone)
-
     def substitute(self, bindings: Mapping[str, SymExpr]) -> Optional["Disjunction"]:
         """``None`` signals an unrepresentable result (a logical variable
         bound to a non-variable value) — the predicate degrades to Δ."""
@@ -152,8 +155,9 @@ class Disjunction:
         return sorted(self.atoms, key=lambda a: a.sort_key())
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Disjunction)
+            and self._hash == other._hash
             and self.always_true == other.always_true
             and self.atoms == other.atoms
         )
@@ -182,12 +186,19 @@ class Disjunction:
 class Predicate:
     """A guard predicate: TRUE / FALSE / UNKNOWN (Δ) / a CNF clause set."""
 
-    __slots__ = ("_kind", "clauses", "_hash")
+    __slots__ = ("_kind", "clauses", "_hash", "_units")
 
     def __init__(self, kind: _Kind, clauses: frozenset[Disjunction] = frozenset()):
         self._kind = kind
         self.clauses = clauses
         self._hash = hash((kind, clauses))
+        self._units: Optional[tuple[Atom, ...]] = None
+
+    def __reduce__(self):
+        # rebuilt on load (the slot _hash is per-process); constants by name
+        if self._kind is _Kind.CNF:
+            return (Predicate.of_clauses, (self.clauses,))
+        return self._kind.name
 
     # -- constructors ----------------------------------------------------------
 
@@ -205,25 +216,32 @@ class Predicate:
 
     @classmethod
     def of_atom(cls, atom: Atom) -> "Predicate":
-        t = atom.truth()
-        if t is True:
-            return _TRUE
-        if t is False:
-            return _FALSE
+        # a constant atom folds in the clause, then the clause in the CNF
         return cls.of_clauses([Disjunction([atom])])
 
     @classmethod
     def of_clauses(cls, clauses: Iterable[Disjunction]) -> "Predicate":
-        kept = _simplify_cnf(list(clauses))
+        clauses = list(clauses)
+        raw = frozenset(clauses)
+        cached = _INTERN.get(raw)
+        if cached is not MISS:
+            return cached
+        kept = _simplify_cnf(clauses)
         if kept is None:
-            return _FALSE
-        if not kept:
-            return _TRUE
-        if len(kept) > MAX_CLAUSES or any(
+            out = _FALSE
+        elif not kept:
+            out = _TRUE
+        elif len(kept) > MAX_CLAUSES or any(
             len(c) > MAX_ATOMS_PER_CLAUSE for c in kept
         ):
-            return _UNKNOWN
-        return cls(_Kind.CNF, frozenset(kept))
+            out = _UNKNOWN
+        else:
+            # also register the result under its own clause set
+            canon = frozenset(kept)
+            out = _INTERN.get(canon)
+            if out is MISS or out.clauses != canon:
+                out = _INTERN.put(canon, cls(_Kind.CNF, canon))
+        return _INTERN.put(raw, out)
 
     # -- convenience relational constructors -------------------------------------
 
@@ -246,10 +264,6 @@ class Predicate:
     @classmethod
     def eq(cls, a, b, integer: bool = True) -> "Predicate":
         return cls.of_atom(Relation.eq(a, b, integer))
-
-    @classmethod
-    def ne(cls, a, b, integer: bool = True) -> "Predicate":
-        return cls.of_atom(Relation.ne(a, b, integer))
 
     @classmethod
     def boolvar(cls, name: str, value: bool = True) -> "Predicate":
@@ -285,12 +299,7 @@ class Predicate:
             return self
         if self.is_unknown() or other.is_unknown():
             return _UNKNOWN
-        key = (self, other)
-        cached = _CONJ_CACHE.get(key)
-        if cached is not MISS:
-            return cached
-        out = Predicate.of_clauses(list(self.clauses) + list(other.clauses))
-        return _CONJ_CACHE.put(key, out)
+        return Predicate.of_clauses(self.clauses | other.clauses)
 
     def disj(self, other: "Predicate") -> "Predicate":
         """OR.  ``TRUE`` dominates; Δ OR P is Δ unless P is TRUE."""
@@ -304,16 +313,11 @@ class Predicate:
             return _UNKNOWN
         if len(self.clauses) * len(other.clauses) > MAX_CLAUSES:
             return _UNKNOWN
-        key = (self, other)
-        cached = _DISJ_CACHE.get(key)
-        if cached is not MISS:
-            return cached
-        merged = [
-            Disjunction(list(c1.atoms) + list(c2.atoms))
+        return Predicate.of_clauses(
+            Disjunction(c1.atoms | c2.atoms)
             for c1 in self.clauses
             for c2 in other.clauses
-        ]
-        return _DISJ_CACHE.put(key, Predicate.of_clauses(merged))
+        )
 
     def negate(self) -> "Predicate":
         """De Morgan negation, redistributed to CNF (Δ on blow-up)."""
@@ -323,9 +327,6 @@ class Predicate:
             return _TRUE
         if self.is_unknown():
             return _UNKNOWN
-        cached = _NEG_CACHE.get(self)
-        if cached is not MISS:
-            return cached
         # not(AND of clauses) = OR over clauses of (AND of negated atoms):
         # distribute to CNF by taking one atom from each clause.
         sizes = 1
@@ -334,11 +335,10 @@ class Predicate:
             if sizes > MAX_CLAUSES:
                 return _UNKNOWN
         picks = [c.sorted_atoms() for c in self.clauses]
-        new_clauses = [
+        return Predicate.of_clauses(
             Disjunction(a.negate() for a in combo)
             for combo in itertools.product(*picks)
-        ]
-        return _NEG_CACHE.put(self, Predicate.of_clauses(new_clauses))
+        )
 
     def __and__(self, other: "Predicate") -> "Predicate":
         return self.conj(other)
@@ -411,20 +411,19 @@ class Predicate:
         return all(c.evaluate(env) for c in self.clauses)
 
     def unit_atoms(self) -> list[Atom]:
-        """Atoms of all unit clauses — the conjunction context they define."""
-        if not self.is_cnf():
-            return []
-        return [c.unit_atom() for c in self.clauses if c.is_unit()]
-
-    def atom_count(self) -> int:
-        """Total number of atoms across the clauses."""
-        return sum(len(c) for c in self.clauses)
+        """Atoms of all unit clauses — the conjunction context they define —
+        in canonical order, so Fourier–Motzkin never sees hash order."""
+        if self._units is None:  # computed once per interned predicate
+            units = (c.unit_atom() for c in self.clauses if c.is_unit())
+            self._units = tuple(sorted(units, key=lambda a: a.sort_key()))
+        return list(self._units)
 
     # -- identity ---------------------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Predicate)
+            and self._hash == other._hash
             and self._kind is other._kind
             and self.clauses == other.clauses
         )
@@ -519,6 +518,7 @@ def _simplify_cnf(clauses: list[Disjunction]) -> Optional[list[Disjunction]]:
 _TRUE = Predicate(_Kind.TRUE)
 _FALSE = Predicate(_Kind.FALSE)
 _UNKNOWN = Predicate(_Kind.UNKNOWN)
+_TAUTOLOGY = (Relation(0, RelOp.LE),)  # how an always-true clause pickles
 
 TRUE = _TRUE
 FALSE = _FALSE

@@ -317,6 +317,7 @@ class Relation:
             return True
         return (
             isinstance(other, Relation)
+            and self._hash == other._hash
             and self.op is other.op
             and self.expr == other.expr
             and self.integer == other.integer
@@ -333,7 +334,7 @@ class Relation:
 
     def sort_key(self) -> tuple:
         """Canonical ordering key."""
-        return (0, self.op.value, str(self.expr))
+        return (0, self.op.value, str(self.expr), self.integer)
 
 
 class BoolAtom:
@@ -345,6 +346,10 @@ class BoolAtom:
         self.name = name
         self.value = bool(value)
         self._hash = hash((name, self.value))
+
+    def __reduce__(self):
+        # rebuild rather than restore slots: _hash is per-process
+        return (BoolAtom, (self.name, self.value))
 
     def truth(self) -> Optional[bool]:
         """Logical variables never fold to a constant."""
@@ -397,7 +402,7 @@ class BoolAtom:
         return bool(env[self.name]) == self.value
 
     def __eq__(self, other: object) -> bool:
-        return (
+        return self is other or (
             isinstance(other, BoolAtom)
             and self.name == other.name
             and self.value == other.value

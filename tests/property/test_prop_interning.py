@@ -1,6 +1,6 @@
 """Property tests for the hash-consing / memoization fast path.
 
-Three invariant families:
+Four invariant families:
 
 * interned arithmetic agrees with a non-interned reference computation
   built directly from dict-of-monomial coefficient algebra;
@@ -8,7 +8,10 @@ Three invariant families:
   changes any result — the caches are invisible to values;
 * the ``Comparer`` proof memo never goes stale across ``refine()``:
   child and parent verdicts always match a freshly built comparer over
-  the same context, in any interleaving.
+  the same context, in any interleaving;
+* the guard algebra (clauses, predicates, GARs) is hash-consed: equal
+  construction yields one object, a predicate is registered under its
+  own clause set, and values rebuilt after ``clear_caches()`` are equal.
 """
 
 from __future__ import annotations
@@ -19,9 +22,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.perf import profiler
-from repro.symbolic import Comparer, Monomial, SymExpr
+from repro.regions import GAR
+from repro.symbolic import Comparer, Disjunction, Monomial, Predicate, SymExpr
 
-from .strategies import predicates, relations, sym_exprs
+from .strategies import (
+    atoms,
+    concrete_regions,
+    disjunctions,
+    predicates,
+    relations,
+    sym_exprs,
+)
 
 
 def _reference_terms(expr: SymExpr) -> dict:
@@ -153,3 +164,56 @@ def test_relation_negate_involution_after_clear(context, rel):
     n2 = rel.negate()
     assert n1 == n2
     assert n1.negate() == rel
+
+
+@st.composite
+def gars(draw):
+    return GAR(draw(predicates()), draw(concrete_regions()), draw(st.booleans()))
+
+
+@given(predicates())
+def test_of_clauses_is_idempotent(p):
+    if p.is_cnf():
+        assert Predicate.of_clauses(p.clauses) is p
+
+
+@given(
+    st.lists(atoms(), min_size=1, max_size=4),
+    st.lists(disjunctions(), min_size=1, max_size=3),
+    predicates(),
+    concrete_regions(),
+)
+def test_equal_construction_is_identical(atom_list, clause_list, guard, region):
+    assert Disjunction(atom_list) is Disjunction(reversed(atom_list))
+    p = Predicate.of_clauses(clause_list)
+    assert p is Predicate.of_clauses(reversed(clause_list))
+    assert GAR(guard, region) is GAR(guard, region)
+
+
+@given(predicates(), st.data())
+def test_conj_with_carried_clauses_returns_self(p, data):
+    if not p.is_cnf():
+        return
+    clauses = sorted(p.clauses, key=lambda c: c.sort_key())
+    subset = data.draw(st.lists(st.sampled_from(clauses), max_size=len(clauses)))
+    q = Predicate.of_clauses(subset)
+    if q.is_true() or (q.is_cnf() and q.clauses <= p.clauses):
+        assert p & q is p
+
+
+@given(st.lists(disjunctions(), min_size=1, max_size=3), concrete_regions(),
+       st.booleans())
+@settings(max_examples=60)
+def test_values_equal_across_clear_caches(clause_list, region, exact):
+    p1 = Predicate.of_clauses(clause_list)
+    g1 = GAR(p1, region, exact)
+    profiler.clear_caches()
+    p2 = Predicate.of_clauses(clause_list)
+    g2 = GAR(p2, region, exact)
+    assert p1 == p2 and hash(p1) == hash(p2)
+    assert g1 == g2 and hash(g1) == hash(g2)
+
+
+@given(gars())
+def test_gar_rebuilds_from_its_own_fields(g):
+    assert GAR(g.guard, g.region, g.exact) == g

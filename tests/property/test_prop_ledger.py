@@ -17,7 +17,7 @@ from __future__ import annotations
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dataflow import AnalysisOptions
@@ -34,13 +34,30 @@ from repro.engine.ledger import (
 _STATE: dict = {}
 
 
+def reference_items() -> list[BatchItem]:
+    return [BatchItem(c.name, c.source) for c in generate_campaign(6, seed=11)]
+
+
+def header_length() -> int:
+    """Bytes of the reference ledger's header line, newline excluded (the
+    header records this process's pid, so it is measured, not fixed)."""
+    path = Path(tempfile.mkdtemp(prefix="prop-ledger-")) / "header.jsonl"
+    ident = run_identity("batch", reference_items(), AnalysisOptions())
+    with LedgerWriter(path, ident):
+        pass
+    return len(path.read_bytes()) - 1
+
+
+#: a cut right before the header's newline leaves a whole but unterminated
+#: header, which a resume must not glue its first record onto
+HEADER_CUT = header_length()
+
+
 def reference() -> dict:
     """One full ledgered run, built once per test session."""
     if _STATE:
         return _STATE
-    items = [
-        BatchItem(c.name, c.source) for c in generate_campaign(6, seed=11)
-    ]
+    items = reference_items()
     options = AnalysisOptions()
     root = Path(tempfile.mkdtemp(prefix="prop-ledger-"))
     path = root / "run.jsonl"
@@ -87,6 +104,7 @@ def test_replay_tolerates_any_truncation(cut):
 
 @settings(max_examples=6, deadline=None)
 @given(cut=st.integers(min_value=0, max_value=200_000))
+@example(cut=HEADER_CUT)
 def test_resume_from_any_truncation_is_bit_identical(cut):
     ref = reference()
     path = truncated_ledger(ref, cut % (len(ref["raw"]) + 1))

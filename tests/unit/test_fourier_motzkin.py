@@ -213,6 +213,21 @@ class TestEffortCaps:
         definitely_unsat(atoms)
         assert COUNTERS.fm_ne_splits_dropped == before + 2
 
+    def test_kept_ne_splits_do_not_depend_on_atom_order(self):
+        # atoms reach the eliminator in frozenset order, which follows
+        # the string-hash seed: the splits kept must not
+        from repro.symbolic.fourier_motzkin import MAX_NE_SPLITS, _atoms_to_systems
+
+        atoms = [Relation.ne("neorder", k) for k in range(MAX_NE_SPLITS + 2)]
+
+        def systems(order):
+            return [
+                sorted(str((c.coeffs, c.const)) for c in system)
+                for system in _atoms_to_systems(order, MAX_NE_SPLITS)
+            ]
+
+        assert systems(atoms) == systems(list(reversed(atoms)))
+
     def test_bailout_counters_reach_profile_snapshot(self):
         from repro.perf import profiler
 

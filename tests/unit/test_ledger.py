@@ -179,6 +179,19 @@ class TestTransitions:
 
 
 class TestCorruptionTolerance:
+    def test_resume_after_unterminated_header(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with LedgerWriter(path, identity()):
+            pass
+        # a crash right before the header's newline
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        verify_identity(replay(path).header, identity())
+        with LedgerWriter(path, identity(), resume=True) as w:
+            w.record_end("complete")
+        rep = replay(path)
+        verify_identity(rep.header, identity())
+        assert (rep.resumes, rep.torn_lines, rep.ended) == (1, 0, "complete")
+
     def test_torn_final_line_is_skipped(self, tmp_path):
         path = tmp_path / "run.jsonl"
         with LedgerWriter(path, identity()) as w:

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
+import repro
+import repro.regions  # noqa: F401  (registers the region-layer tables)
 from repro.perf import profiler
 from repro.perf.profiler import MISS, BoundedCache
 from repro.symbolic import Monomial, Predicate, Relation, RelOp, SymExpr
@@ -82,7 +89,9 @@ class TestRegistryAndSnapshot:
             "relation.intern",
             "comparer.prove",
             "fm.unsat",
-            "predicate.conj",
+            "predicate.intern",
+            "disjunction.intern",
+            "gar.intern",
         ):
             assert expected in names
 
@@ -223,3 +232,102 @@ class TestInternedPickling:
         p = Predicate.le("i", "n") & Predicate.ge("i", 1)
         clone = pickle.loads(pickle.dumps(p))
         assert clone == p
+
+    def test_guard_algebra_roundtrip_is_interned(self):
+        from repro.regions import GAR, Range, RegularRegion
+
+        p = Predicate.le("i", "n") & Predicate.ge("i", 1)
+        gar = GAR(p, RegularRegion("a", [Range("i", "n")]))
+        for value in (p, next(iter(p.clauses)), gar, gar.region, gar.region.dims[0]):
+            assert pickle.loads(pickle.dumps(value)) is value
+
+
+_SRC = str(Path(repro.__file__).resolve().parents[1])
+
+#: builds one value of every pickled guard-algebra type; run in fresh
+#: interpreters so each side has its own string-hash seed
+_BUILD = """
+from repro.regions import GAR, GARList, Range, RegularRegion
+from repro.symbolic import BoolAtom, Disjunction, Predicate, Relation
+
+def build():
+    guard = (Predicate.le("i", "n") & Predicate.ge("i", 1)) | Predicate.boolvar("p")
+    region = RegularRegion("a", [Range("i", "n"), Range(1, "m", 2)])
+    gar = GAR(guard, region)
+    other = GAR(Predicate.boolvar("q", False), region, exact=False)
+    return {
+        "clause": Disjunction([Relation.le("i", "n"), BoolAtom("p")]),
+        "tautology": Disjunction([Relation.le("i", "n"), Relation.gt("i", "n")]),
+        "predicate": guard,
+        "range": region.dims[1],
+        "region": region,
+        "gar": gar,
+        "gar_list": GARList([gar, other]),
+    }
+"""
+
+_WRITE = _BUILD + """
+import pickle, sys
+with open(sys.argv[1], "wb") as fh:
+    pickle.dump(build(), fh)
+"""
+
+_CHECK = _BUILD + """
+import json, pickle, sys
+with open(sys.argv[1], "rb") as fh:
+    loaded = pickle.load(fh)
+fresh = build()
+report = {}
+for name, value in fresh.items():
+    clone = loaded[name]
+    report[name] = [clone == value, hash(clone) == hash(value), clone in {value}]
+print(json.dumps(report))
+"""
+
+
+def _run(script: str, seed: int, *args: str) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=_SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", script, *args],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return out.stdout
+
+
+class TestCrossProcessPickling:
+    """Pickled guards (the disk/shared summary tiers, ``--resume``) must
+    equal freshly built ones in a process with another hash seed."""
+
+    def test_guards_survive_a_hash_seed_change(self, tmp_path):
+        path = str(tmp_path / "guards.pickle")
+        _run(_WRITE, 1, path)
+        report = json.loads(_run(_CHECK, 2, path))
+        assert report == {name: [True, True, True] for name in report}
+        assert len(report) == 7
+
+
+_COUNT = """
+import json
+from repro import Panorama
+from repro.kernels import KERNELS
+from repro.perf import profiler
+
+programs = {}
+for k in KERNELS:
+    programs.setdefault(k.program, (k.source, dict(k.sizes)))
+profiler.reset()
+for name in sorted(programs):
+    profiler.clear_caches()
+    source, sizes = programs[name]
+    Panorama(sizes=sizes).compile(source)
+print(json.dumps(profiler.COUNTERS.as_dict()))
+"""
+
+
+def test_registry_counters_do_not_depend_on_hash_seed():
+    """Work counters (fm_eliminations included) over a cold registry pass
+    are machine-independent regression signals: string hashing must not
+    decide which Fourier–Motzkin systems get built."""
+    first, second = (json.loads(_run(_COUNT, seed)) for seed in (1, 2))
+    assert first == second
+    assert first["fm_eliminations"] > 0

@@ -164,6 +164,27 @@ class TestBudgetFallback:
         assert result.degraded_loops() == []
         assert result.loops[0].status is not LoopStatus.UNKNOWN
 
+    def test_step_budget_does_not_depend_on_warm_caches(self):
+        from repro.engine.campaign import generate_campaign
+        from repro.engine.telemetry import loop_report_row
+        from repro.perf import profiler
+
+        items = generate_campaign(4, seed=2201)
+
+        def rows(options):
+            return [
+                [loop_report_row(r) for r in Panorama(
+                    options, run_machine_model=False
+                ).compile(item.source).loops]
+                for item in items
+            ]
+
+        budgeted = AnalysisOptions(budget_steps=40)
+        profiler.clear_caches()
+        cold = rows(budgeted)
+        rows(AnalysisOptions())  # fill every memo table, unbudgeted
+        assert rows(budgeted) == cold
+
     def test_cli_exit_code_3_on_degradation(self, tmp_path, capsys):
         from repro.driver.cli import main
 
