@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from ..dataflow import AnalysisOptions
+from ..dataflow.context import add_option_flags, options_from_args
 from ..perf import profiler
 from .panorama import Panorama
 from .report import format_perf, format_stats, format_table, yes_no
@@ -28,26 +28,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("source", help="Fortran source file ('-' for stdin)")
-    parser.add_argument(
-        "--ablate",
-        choices=["T1", "T2", "T3"],
-        action="append",
-        default=[],
-        help="disable a technique (repeatable): T1 symbolic, "
-        "T2 IF conditions, T3 interprocedural",
-    )
-    parser.add_argument(
-        "--no-fm",
-        action="store_true",
-        help="disable the Fourier-Motzkin fallback prover",
-    )
-    parser.add_argument(
-        "--no-frontier",
-        action="store_true",
-        help="disable the frontier pass (array-content facts and "
-        "scan/recurrence recognition; docs/frontier.md); also settable "
-        "via PANORAMA_NO_FRONTIER=1",
-    )
+    add_option_flags(parser)
     parser.add_argument(
         "--summaries",
         action="store_true",
@@ -76,19 +57,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="enable the symbolic-kernel profiler and print per-phase "
         "timers plus cache hit/miss counters after the verdicts",
-    )
-    parser.add_argument(
-        "--budget-ms",
-        type=float,
-        metavar="MS",
-        help="analysis deadline; on exhaustion remaining loops degrade "
-        "to conservative 'unknown (budget)' verdicts (exit 3)",
-    )
-    parser.add_argument(
-        "--budget-steps",
-        type=int,
-        metavar="N",
-        help="symbolic step budget (deterministic analogue of --budget-ms)",
     )
     audit = parser.add_argument_group("auditing (docs/auditing.md)")
     audit.add_argument(
@@ -131,16 +99,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         source = Path(args.source).read_text()
 
-    extra = {"frontier": False} if args.no_frontier else {}
-    options = AnalysisOptions(
-        symbolic="T1" not in args.ablate,
-        if_conditions="T2" not in args.ablate,
-        interprocedural="T3" not in args.ablate,
-        use_fm=not args.no_fm,
-        budget_ms=args.budget_ms,
-        budget_steps=args.budget_steps,
-        **extra,
-    )
+    options = options_from_args(args)
     if args.profile:
         profiler.enable()
     run_audit = args.audit or args.sarif or args.strict_audit

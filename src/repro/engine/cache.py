@@ -11,8 +11,8 @@ Cache keys are **fingerprints**: a SHA-256 over
 * the fingerprints of its transitive callees (the HSG call edges make
   interprocedural invalidation exact — editing a callee changes every
   transitive caller's fingerprint, and nothing else's),
-* the :class:`~repro.dataflow.context.AnalysisOptions` tuple (an ablation
-  run can never be served summaries computed with different techniques),
+* the :func:`~repro.dataflow.context.options_key` (an ablation run can
+  never be served summaries computed with different techniques),
 * a format version (bumping it orphans old pickles instead of unpickling
   incompatible layouts).
 
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Union
 
 from ..dataflow.analyzer import LoopKey
-from ..dataflow.context import AnalysisOptions, LoopSummaryRecord
+from ..dataflow.context import AnalysisOptions, LoopSummaryRecord, options_key
 from ..dataflow.summary import Summary
 from ..fortran.ast_nodes import Program
 from ..fortran.callgraph import CallGraph
@@ -63,23 +63,6 @@ _DIGEST_LEN = hashlib.sha256().digest_size
 # --------------------------------------------------------------------------- #
 # fingerprints
 # --------------------------------------------------------------------------- #
-
-
-def options_key(options: AnalysisOptions) -> str:
-    """Stable text form of the analysis options, for fingerprinting."""
-    forms = ";".join(
-        f"{name}={expr}" for name, expr in sorted(
-            options.index_array_forms, key=lambda p: p[0]
-        )
-    )
-    return (
-        f"T1={options.symbolic}|T2={options.if_conditions}"
-        f"|T3={options.interprocedural}|FM={options.use_fm}"
-        f"|FR={options.frontier}|IA={forms}"
-        # budgets change results (exhaustion degrades summaries), so a
-        # budgeted run must never share fingerprints with an unlimited one
-        f"|Bms={options.budget_ms}|Bst={options.budget_steps}"
-    )
 
 
 def unit_source_hash(program: Program, name: str) -> str:

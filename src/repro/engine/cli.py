@@ -18,12 +18,13 @@ import sys
 from types import SimpleNamespace
 
 from .. import __version__
-from ..dataflow import AnalysisOptions
+from ..dataflow.context import add_option_flags, options_from_args
 from ..driver.report import format_stats, format_table, yes_no
 from ..errors import EXIT_INTERRUPTED, EXIT_USAGE
 from ..resilience import faults
 from ..resilience.faults import ENV_VAR
 from . import ledger as ledger_mod
+from .backends import BACKEND_KINDS
 from .batch import BatchEngine, items_from_kernel_registry, items_from_paths
 
 
@@ -59,7 +60,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-backend",
-        choices=["disk", "shared"],
+        choices=BACKEND_KINDS,
         help="durable cache tier: pickle files (disk) or the "
         "multi-process SQLite tier (shared); default "
         "$PANORAMA_CACHE_BACKEND or disk",
@@ -81,25 +82,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit all results as JSON on stdout instead of tables",
     )
-    parser.add_argument(
-        "--ablate",
-        choices=["T1", "T2", "T3"],
-        action="append",
-        default=[],
-        help="disable a technique (repeatable): T1 symbolic, "
-        "T2 IF conditions, T3 interprocedural",
-    )
-    parser.add_argument(
-        "--no-fm",
-        action="store_true",
-        help="disable the Fourier-Motzkin fallback prover",
-    )
-    parser.add_argument(
-        "--no-frontier",
-        action="store_true",
-        help="disable the frontier pass (array-content facts and "
-        "scan/recurrence recognition; docs/frontier.md)",
-    )
+    add_option_flags(parser)
     parser.add_argument(
         "--no-machine",
         action="store_true",
@@ -122,20 +105,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="retry a failed item up to N times before quarantining it "
         "(default 2; source errors are never retried)",
-    )
-    resilience.add_argument(
-        "--budget-ms",
-        type=float,
-        metavar="MS",
-        help="per-file analysis deadline; exhaustion degrades loops to "
-        "conservative 'unknown (budget)' verdicts instead of failing",
-    )
-    resilience.add_argument(
-        "--budget-steps",
-        type=int,
-        metavar="N",
-        help="per-file symbolic step budget (deterministic analogue of "
-        "--budget-ms)",
     )
     resilience.add_argument(
         "--inject-faults",
@@ -275,16 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         os.environ[ENV_VAR] = args.inject_faults
         faults.reset()
 
-    extra = {"frontier": False} if args.no_frontier else {}
-    options = AnalysisOptions(
-        symbolic="T1" not in args.ablate,
-        if_conditions="T2" not in args.ablate,
-        interprocedural="T3" not in args.ablate,
-        use_fm=not args.no_fm,
-        budget_ms=args.budget_ms,
-        budget_steps=args.budget_steps,
-        **extra,
-    )
+    options = options_from_args(args)
     run_audit = bool(args.audit or args.sarif or args.strict_audit)
     identity = ledger_mod.run_identity(
         "batch", items, options, audit=run_audit, machine=not args.no_machine

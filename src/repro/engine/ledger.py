@@ -13,7 +13,7 @@ items finished, so the whole shard re-runs.  The ledger is that journal
   merely re-runs that item, which is always safe because analysis is a
   pure function of the source).
 * an **identity header** binds the ledger to one exact run: options
-  fingerprint (:func:`~repro.engine.cache.options_key`), audit/machine
+  fingerprint (:func:`~repro.dataflow.context.options_key`), audit/machine
   flags, an order-sensitive digest over every item's name and source,
   and — for campaigns — the ``(seed, GENERATOR_VERSION, count, shard)``
   provenance.  ``--resume`` refuses a ledger whose header mismatches
@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
+from ..dataflow.context import options_key
 from ..resilience import faults
-from .cache import options_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dataflow.context import AnalysisOptions

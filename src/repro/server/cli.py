@@ -22,6 +22,8 @@ import sys
 from pathlib import Path
 
 from .. import __version__
+from ..dataflow.context import add_option_flags
+from ..engine.backends import BACKEND_KINDS
 from ..errors import EXIT_INTERRUPTED
 from .app import PanoramaServer, ServerThread
 from .service import AnalysisService, ServerConfig
@@ -59,19 +61,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         metavar="S",
         help="Retry-After seconds advertised on saturation (default 1)",
     )
-    parser.add_argument(
-        "--budget-ms",
-        type=float,
-        metavar="MS",
-        help="per-request deadline ceiling; requests degrade to "
-        "conservative verdicts in band (docs/robustness.md)",
+    ceilings = parser.add_argument_group(
+        "per-request budget ceilings (requests may only tighten them)"
     )
-    parser.add_argument(
-        "--budget-steps",
-        type=int,
-        metavar="N",
-        help="per-request symbolic step ceiling (deterministic analogue)",
-    )
+    add_option_flags(ceilings, budgets_only=True)
     parser.add_argument(
         "--max-body-kb",
         type=int,
@@ -87,7 +80,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-backend",
-        choices=["disk", "shared"],
+        choices=BACKEND_KINDS,
         help="durable cache tier: pickle files (disk) or the "
         "multi-process SQLite tier (shared); default "
         "$PANORAMA_CACHE_BACKEND or disk",

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .. import __version__
-from ..dataflow.context import AnalysisOptions
+from ..dataflow.context import AnalysisOptions, options_from_request
 from ..driver.panorama import (
     CompilationResult,
     CompositeHooks,
@@ -223,57 +223,12 @@ class AnalysisService:
             )
         return dict(sizes)
 
-    def build_options(self, body: dict[str, Any]) -> AnalysisOptions:
-        """Request options → :class:`AnalysisOptions`, budgets clamped.
-
-        A request may only *tighten* the server's budget ceilings — a
-        client cannot buy itself an unlimited analysis on a daemon
-        configured to degrade at 200 ms.
-        """
-        raw = body.get("options") or {}
-        if not isinstance(raw, dict):
-            raise RequestError(400, "request", '"options" must be an object')
-        known = {"ablate", "no_fm", "no_frontier", "budget_ms", "budget_steps"}
-        unknown = set(raw) - known
-        if unknown:
-            raise RequestError(
-                400, "request",
-                f"unknown option(s): {', '.join(sorted(unknown))} "
-                f"(known: {', '.join(sorted(known))})",
-            )
-        ablate = raw.get("ablate") or []
-        if not isinstance(ablate, list) or not set(ablate) <= {"T1", "T2", "T3"}:
-            raise RequestError(
-                400, "request", '"ablate" must be a list drawn from T1/T2/T3'
-            )
-        budget_ms = self._clamped(raw, "budget_ms", self.config.budget_ms, float)
-        budget_steps = self._clamped(
-            raw, "budget_steps", self.config.budget_steps, int
-        )
-        extra = {"frontier": False} if raw.get("no_frontier") else {}
-        return AnalysisOptions(
-            symbolic="T1" not in ablate,
-            if_conditions="T2" not in ablate,
-            interprocedural="T3" not in ablate,
-            use_fm=not raw.get("no_fm", False),
-            budget_ms=budget_ms,
-            budget_steps=budget_steps,
-            **extra,
-        )
-
-    @staticmethod
-    def _clamped(raw, key, ceiling, cast):
-        value = raw.get(key)
-        if value is None:
-            return ceiling
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise RequestError(400, "request", f'"{key}" must be a number')
-        if value <= 0:
-            raise RequestError(400, "request", f'"{key}" must be positive')
-        value = cast(value)
-        if ceiling is not None:
-            value = min(value, cast(ceiling))
-        return value
+    def _options_of(self, body: dict[str, Any]) -> AnalysisOptions:
+        """Request options, budgets clamped to the server's ceilings."""
+        try:
+            return options_from_request(body.get("options"), self.config)
+        except ValueError as exc:
+            raise RequestError(400, "request", str(exc)) from None
 
     # -- analysis -----------------------------------------------------------------
 
@@ -284,7 +239,7 @@ class AnalysisService:
     ) -> dict[str, Any]:
         """One ``POST /v1/analyze`` request: source in, verdicts out."""
         name, source = self._source_of(body)
-        options = self.build_options(body)
+        options = self._options_of(body)
         sizes = self._sizes_of(body)
         run_audit = self._audit_of(body, self.config.audit)
 
@@ -393,7 +348,7 @@ class AnalysisService:
     def watch_open(self, body: Any) -> dict[str, Any]:
         """Create a watch session pinned to one options set."""
         body = body if isinstance(body, dict) else {}
-        options = self.build_options(body)
+        options = self._options_of(body)
         name = body.get("name", "<watch>")
         if not isinstance(name, str) or not name:
             raise RequestError(400, "request", '"name" must be a non-empty string')

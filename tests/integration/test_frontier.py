@@ -180,11 +180,24 @@ class TestCliAndCache:
         off_out = capsys.readouterr().out
         assert "parallel (scan)" not in off_out and "serial" in off_out
 
-    def test_env_toggle_matches_the_flag(self, monkeypatch):
-        monkeypatch.setenv("PANORAMA_NO_FRONTIER", "1")
-        assert AnalysisOptions().frontier is False
-        monkeypatch.delenv("PANORAMA_NO_FRONTIER")
-        assert AnalysisOptions().frontier is True
+    def test_flag_and_request_toggle_agree(self):
+        from repro.dataflow.context import (
+            options_from_args,
+            options_from_request,
+        )
+        from repro.engine import cli as batch_cli
+
+        for parser, argv in (
+            (driver_cli.build_arg_parser(), ["k.f"]),
+            (batch_cli.build_arg_parser(), []),
+        ):
+            assert options_from_args(parser.parse_args(argv)) == ON
+            off = options_from_args(
+                parser.parse_args([*argv, "--no-frontier"])
+            )
+            assert off == OFF
+        assert options_from_request({"no_frontier": True}) == OFF
+        assert options_from_request({}) == ON == AnalysisOptions()
 
     def test_toggle_reaches_the_cache_key(self):
         from repro.engine.cache import CACHE_FORMAT_VERSION, options_key
@@ -197,9 +210,14 @@ class TestCliAndCache:
         from repro.server.service import AnalysisService, ServerConfig
 
         service = AnalysisService(ServerConfig())
-        opts = service.build_options({"options": {"no_frontier": True}})
-        assert opts.frontier is False
-        assert service.build_options({}).frontier is True
+        source = get_frontier_kernel("prefix_sum").source
+        on = service.analyze({"source": source})
+        off = service.analyze(
+            {"source": source, "options": {"no_frontier": True}}
+        )
+        assert any("scan" in row["status"] for row in on["loops"])
+        assert not any("scan" in row["status"] for row in off["loops"])
+        assert all(row["evidence"] == [] for row in off["loops"])
 
 
 class TestCodegen:

@@ -1,5 +1,6 @@
 """Unit tests for the engine's fingerprinting and two-tier summary cache."""
 
+import dataclasses
 import pickle
 
 from repro.dataflow import AnalysisOptions
@@ -73,14 +74,18 @@ class TestFingerprints:
 
     def test_options_key_covers_every_toggle(self):
         base = AnalysisOptions()
-        for variant in (
-            AnalysisOptions(symbolic=False),
-            AnalysisOptions(if_conditions=False),
-            AnalysisOptions(interprocedural=False),
-            AnalysisOptions(use_fm=False),
-            AnalysisOptions(index_array_forms=(("ix", SymExpr.const(3)),)),
-        ):
-            assert options_key(variant) != options_key(base)
+        other = {
+            "index_array_forms": (("ix", SymExpr.const(3)),),
+            "budget_ms": 100.0,
+            "budget_steps": 1000,
+        }
+        for f in dataclasses.fields(AnalysisOptions):
+            # a new non-boolean field must add its variant to `other`
+            value = (
+                not f.default if isinstance(f.default, bool) else other[f.name]
+            )
+            variant = AnalysisOptions(**{f.name: value})
+            assert options_key(variant) != options_key(base), f.name
 
     def test_unit_source_hash_is_per_routine(self):
         program = parse_program(CALLER_CALLEE.format(rhs="1.0"))

@@ -187,10 +187,13 @@ class TestBudgetFallback:
 
     def test_cli_exit_code_3_on_degradation(self, tmp_path, capsys):
         from repro.driver.cli import main
+        from repro.kernels.figure1 import FIGURE_1A
 
+        # the CLI refuses a zero budget, so use the smallest it takes on
+        # loops that need dataflow (LOOP_SRC passes the screen in 1 step)
         src = tmp_path / "loop.f"
-        src.write_text(LOOP_SRC)
-        assert main([str(src), "--budget-steps", "0", "--no-machine"]) == 3
+        src.write_text(FIGURE_1A)
+        assert main([str(src), "--budget-steps", "1", "--no-machine"]) == 3
         assert main([str(src), "--no-machine"]) == 0
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.dataflow.context import options_from_request
 from repro.driver.panorama import Panorama
 from repro.engine.telemetry import loop_report_row
 from repro.kernels.figure1 import FIGURE_1A, FIGURE_1B, FIGURE_1C
@@ -52,40 +53,78 @@ class TestRequestShape:
 
     def test_bad_ablate_is_400(self):
         with pytest.raises(RequestError) as err:
-            make_service().build_options({"options": {"ablate": ["T9"]}})
+            make_service().analyze(
+                {"source": FIGURE_1A, "options": {"ablate": ["T9"]}}
+            )
         assert err.value.status == 400
 
     def test_negative_budget_is_400(self):
         with pytest.raises(RequestError) as err:
-            make_service().build_options({"options": {"budget_ms": -5}})
+            make_service().analyze(
+                {"source": FIGURE_1A, "options": {"budget_ms": -5}}
+            )
         assert err.value.status == 400
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"budget_ms": float("nan")},
+            {"budget_ms": float("inf")},
+            {"budget_steps": float("nan")},
+            {"budget_steps": float("inf")},
+            {"budget_steps": 0.5},
+            {"budget_ms": "200"},
+            {"no_fm": "false"},
+        ],
+        ids=repr,
+    )
+    def test_value_outside_the_schema_is_400(self, options):
+        # NaN must not slip past a ceiling (min(nan, c) is nan, and a NaN
+        # deadline never fires); NaN/inf steps must not escape as a 500;
+        # a fractional step count must not truncate to 0
+        service = make_service(budget_ms=200.0, budget_steps=1_000)
+        with pytest.raises(RequestError) as err:
+            service.analyze({"source": FIGURE_1A, "options": options})
+        assert err.value.status == 400
+        assert err.value.kind == "request"
+        assert next(iter(options)) in err.value.message
+
+    def test_watch_open_validates_options_too(self):
+        with pytest.raises(RequestError) as err:
+            make_service().watch_open(
+                {"options": {"budget_steps": float("nan")}}
+            )
+        assert err.value.status == 400
+
+
+def clamped(service: AnalysisService, options=None):
+    """The options a request with *options* gets on *service*."""
+    return options_from_request(options, service.config)
 
 
 class TestOptionClamping:
     def test_defaults_inherit_server_ceilings(self):
         service = make_service(budget_ms=250.0, budget_steps=10_000)
-        options = service.build_options({})
+        options = clamped(service)
         assert options.budget_ms == 250.0
         assert options.budget_steps == 10_000
 
     def test_request_may_tighten(self):
         service = make_service(budget_steps=10_000)
-        options = service.build_options(
-            {"options": {"budget_steps": 100}}
-        )
+        options = clamped(service, {"budget_steps": 100})
         assert options.budget_steps == 100
 
     def test_request_cannot_loosen(self):
         service = make_service(budget_ms=100.0, budget_steps=1_000)
-        options = service.build_options(
-            {"options": {"budget_ms": 60_000, "budget_steps": 10**9}}
+        options = clamped(
+            service, {"budget_ms": 60_000, "budget_steps": 10**9}
         )
         assert options.budget_ms == 100.0
         assert options.budget_steps == 1_000
 
     def test_ablations_map_to_techniques(self):
-        options = make_service().build_options(
-            {"options": {"ablate": ["T1", "T3"], "no_fm": True}}
+        options = clamped(
+            make_service(), {"ablate": ["T1", "T3"], "no_fm": True}
         )
         assert not options.symbolic
         assert options.if_conditions
