@@ -44,6 +44,7 @@ from ..diagnostics import Diagnostic, diagnostic_to_dict, resolve_span
 from ..driver.panorama import CompilationResult, LoopReport
 from ..hsg.cfg import FlowGraph
 from ..hsg.nodes import CondensedNode, IfConditionNode, LoopNode
+from ..perf import metrics
 from ..regions import sanitize
 from ..symbolic import Comparer, Predicate, SymExpr
 
@@ -128,6 +129,24 @@ class AuditFinding:
 
 
 @dataclass
+class AuditCounts(metrics.MetricGroup):
+    """One audit's counters (a :mod:`repro.perf.metrics` group)."""
+
+    loops_audited: int = 0
+    pairs_checked: int = 0
+    #: findings by kind (KIND_CODES), then lint and sanitizer diagnostics
+    confirmed: int = 0
+    guarded: int = 0
+    undecided: int = 0
+    skipped: int = 0
+    evidence_replay: int = 0
+    evidence_unsupported: int = 0
+    oracle_conflicts: int = 0
+    lint: int = 0
+    sanitizer: int = 0
+
+
+@dataclass
 class AuditReport:
     """Everything one audit pass over a compilation produced."""
 
@@ -164,29 +183,29 @@ class AuditReport:
         """No confirmed disagreements and no internal violations?"""
         return not self.errors()
 
-    def counts(self) -> dict[str, int]:
-        """Flat counters for telemetry roll-ups."""
+    def counts(self) -> AuditCounts:
+        """The counters telemetry roll-ups fold."""
         by_kind = {k: 0 for k in KIND_CODES}
         for f in self.findings:
             by_kind[f.kind] += 1
-        return {
-            "loops_audited": self.loops_audited,
-            "pairs_checked": self.pairs_checked,
-            "confirmed": by_kind["confirmed"],
-            "guarded": by_kind["guarded"],
-            "undecided": by_kind["undecided"],
-            "skipped": by_kind["skipped"],
-            "evidence_replay": by_kind["evidence-replay"],
-            "evidence_unsupported": by_kind["evidence-unsupported"],
-            "oracle_conflicts": by_kind["oracle-conflict"],
-            "lint": len(self.lint),
-            "sanitizer": len(self.sanitizer),
-        }
+        return AuditCounts(
+            loops_audited=self.loops_audited,
+            pairs_checked=self.pairs_checked,
+            confirmed=by_kind["confirmed"],
+            guarded=by_kind["guarded"],
+            undecided=by_kind["undecided"],
+            skipped=by_kind["skipped"],
+            evidence_replay=by_kind["evidence-replay"],
+            evidence_unsupported=by_kind["evidence-unsupported"],
+            oracle_conflicts=by_kind["oracle-conflict"],
+            lint=len(self.lint),
+            sanitizer=len(self.sanitizer),
+        )
 
     def to_payload(self, source: Optional[str] = None) -> dict[str, Any]:
         """JSON-ready form (ships across the batch worker boundary)."""
         return {
-            "counts": self.counts(),
+            "counts": metrics.as_dict(self.counts()),
             "clean": self.clean(),
             "diagnostics": [
                 diagnostic_to_dict(d) for d in self.diagnostics(source)
@@ -196,9 +215,9 @@ class AuditReport:
     def summary_line(self) -> str:
         c = self.counts()
         return (
-            f"audit: {c['loops_audited']} loop(s), {c['pairs_checked']} "
-            f"pair(s): {c['confirmed']} confirmed, {c['guarded']} guarded, "
-            f"{c['undecided']} undecided; {c['lint']} lint finding(s)"
+            f"audit: {c.loops_audited} loop(s), {c.pairs_checked} "
+            f"pair(s): {c.confirmed} confirmed, {c.guarded} guarded, "
+            f"{c.undecided} undecided; {c.lint} lint finding(s)"
         )
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, fields
 
 from typing import Any, Mapping, Optional, Tuple
 
+from ..perf.metrics import MAX, MetricGroup
 from ..regions import GARList
 from ..resilience.budget import AnalysisBudget
 from ..symbolic import Comparer, SymExpr
@@ -259,14 +260,16 @@ class LoopSummaryRecord:
 
 
 @dataclass
-class AnalysisStats:
-    """Instrumentation used by the Figure-4 style cost reporting."""
+class AnalysisStats(MetricGroup):
+    """Instrumentation used by the Figure-4 style cost reporting (a
+    :mod:`repro.perf.metrics` group: counters sum when folded)."""
 
     nodes_visited: int = 0
     gar_ops: int = 0
     loops_summarized: int = 0
     routines_summarized: int = 0
-    peak_gar_list: int = 0
+    #: the largest GAR list seen; folds by max, not sum
+    peak_gar_list: int = field(default=0, metadata=MAX)
     #: budget-exhaustion fallbacks taken (loops/calls degraded to the
     #: conservative whole-array summary)
     budget_degradations: int = 0
@@ -276,10 +279,6 @@ class AnalysisStats:
     content_facts: int = 0
     recurrence_matches: int = 0
     frontier_upgrades: int = 0
-    #: symbolic-kernel counter/cache deltas attributed to this compile
-    #: (flat ``repro.perf`` snapshot keys → numbers); filled by the
-    #: pipeline driver so ``panorama --json`` can expose them
-    symbolic: dict = field(default_factory=dict)
 
     def note_list(self, gars: GARList) -> None:
         """Record a GAR-list size for the peak statistic."""

@@ -171,11 +171,15 @@ def main(argv: list[str] | None = None) -> int:
     )
     print()
     print(result.summary_line())
-    print(format_stats(result.analyzer.stats, result.timings))
+    print(
+        format_stats(
+            result.analyzer.stats, result.timings, symbolic=result.symbolic
+        )
+    )
 
     if args.profile:
         print()
-        print(format_perf(result.analyzer.stats.symbolic))
+        print(format_perf(result.symbolic))
 
     if args.summaries:
         for report in result.loops:

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Optional
+from typing import ClassVar, Mapping, Optional
 
 from ..dataflow import AnalysisOptions, SummaryAnalyzer
 from ..errors import BudgetExceeded
 from ..perf import profiler
+from ..perf.metrics import MetricGroup
 from ..resilience import budget as budgets
 from ..resilience import faults
 from ..deptest.ddg import ScreenReport, ScreenVerdict, screen_loop
@@ -68,8 +69,11 @@ class LoopReport:
 
 
 @dataclass
-class StageTimings:
+class StageTimings(MetricGroup):
     """Per-stage wall-clock seconds (Figure 4 instrumentation)."""
+
+    #: exported beside the stages by repro.perf.metrics.as_dict
+    DERIVED: ClassVar[tuple[str, ...]] = ("total",)
 
     parse: float = 0.0
     frontend: float = 0.0  # semantics + call graph + HSG
@@ -97,6 +101,9 @@ class CompilationResult:
     loops: list[LoopReport] = field(default_factory=list)
     timings: StageTimings = field(default_factory=StageTimings)
     cost: Optional[ProgramCost] = None
+    #: symbolic-kernel counter/cache deltas attributed to this compile
+    #: (flat ``repro.perf`` snapshot keys → numbers)
+    symbolic: dict = field(default_factory=dict)
 
     def loop(self, routine: str, label: int | None) -> LoopReport:
         """Look up one loop's report by routine and label."""
@@ -285,7 +292,7 @@ class Panorama:
             t0 = time.perf_counter()
             self._apply_machine_model(result)
             timings.machine = time.perf_counter() - t0
-        analyzer.stats.symbolic = profiler.delta(perf_before, profiler.snapshot())
+        result.symbolic = profiler.delta(perf_before, profiler.snapshot())
         if self.hooks is not None:
             self.hooks.finish(result)
         return result

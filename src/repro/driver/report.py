@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+from ..perf import profiler
+
 
 def format_table(
     headers: Sequence[str], rows: Iterable[Sequence[object]], title: str = ""
@@ -41,13 +43,15 @@ def fmt(value: float, digits: int = 1) -> str:
     return f"{value:.{digits}f}"
 
 
-def format_stats(stats, timings=None, cache_backend=None) -> str:
+def format_stats(stats, timings=None, cache_backend=None, symbolic=None) -> str:
     """One-line rendering of the analyzer's cost counters.
 
     *stats* is an :class:`~repro.dataflow.context.AnalysisStats`;
     *timings* (optional) a :class:`~repro.driver.panorama.StageTimings`
     whose dataflow share contextualizes the counters; *cache_backend*
-    (optional) names the active durable summary tier, leading the line.
+    (optional) names the active durable summary tier, leading the line;
+    *symbolic* (optional) is a ``repro.perf`` snapshot delta whose
+    cache gauges and prove calls close the line.
     """
     line = "analysis cost: "
     if cache_backend:
@@ -61,25 +65,15 @@ def format_stats(stats, timings=None, cache_backend=None) -> str:
     if timings is not None and timings.total > 0:
         share = timings.dataflow / timings.total * 100.0
         line += f" ({share:.0f}% of time in dataflow)"
-    symbolic = getattr(stats, "symbolic", None)
-    if symbolic:
-        hits = sum(
-            v for k, v in symbolic.items()
-            if k.startswith("cache.") and k.endswith(".hits")
-        )
-        misses = sum(
-            v for k, v in symbolic.items()
-            if k.startswith("cache.") and k.endswith(".misses")
-        )
+    rate = profiler.hit_rate(symbolic) if symbolic else None
+    if rate is not None:
+        hits, misses = profiler.hit_counts(symbolic)
         proves = symbolic.get("counter.prove_calls", 0)
-        if hits or misses:
-            total = hits + misses
-            rate = hits / total * 100.0 if total else 0.0
-            line += (
-                f"; symbolic caches: {int(hits)} hit(s) / "
-                f"{int(misses)} miss(es) ({rate:.0f}% hit rate), "
-                f"{int(proves)} prove call(s)"
-            )
+        line += (
+            f"; symbolic caches: {int(hits)} hit(s) / "
+            f"{int(misses)} miss(es) ({rate * 100.0:.0f}% hit rate), "
+            f"{int(proves)} prove call(s)"
+        )
     return line
 
 

@@ -45,13 +45,6 @@ from .cache import (
     options_key,
     unit_source_hash,
 )
-from .campaign import (
-    GENERATOR_VERSION,
-    generate_campaign,
-    merge_rollups,
-    parse_shard,
-    shard_items,
-)
 from .incremental import (
     IncrementalEngine,
     IncrementalReport,
@@ -61,10 +54,8 @@ from .incremental import (
 from .scheduler import SchedulePlan, plan_schedule, resolve_schedule_mode
 from .telemetry import (
     EngineTelemetry,
-    analysis_stats_dict,
     loop_report_row,
     result_to_dict,
-    timings_dict,
 )
 
 __all__ = [
@@ -87,7 +78,6 @@ __all__ = [
     "SchedulePlan",
     "SharedSQLiteBackend",
     "SummaryCache",
-    "analysis_stats_dict",
     "diff_revisions",
     "fingerprint_program",
     "generate_campaign",
@@ -102,6 +92,18 @@ __all__ = [
     "resolve_schedule_mode",
     "result_to_dict",
     "shard_items",
-    "timings_dict",
     "unit_source_hash",
 ]
+
+#: re-exported from .campaign on first use: importing it here would load
+#: it before ``python -m repro.engine.campaign`` runs it as ``__main__``
+_CAMPAIGN_NAMES = {"GENERATOR_VERSION", "generate_campaign", "merge_rollups",
+                   "parse_shard", "shard_items"}
+
+
+def __getattr__(name: str):
+    if name in _CAMPAIGN_NAMES:
+        from . import campaign
+
+        return getattr(campaign, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

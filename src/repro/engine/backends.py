@@ -23,9 +23,9 @@ under the same fingerprint, so switching backends never invalidates
 summaries — only relocates them.
 
 Selection: pass ``backend="disk"|"shared"`` (or an instance) to
-``SummaryCache``/``BatchEngine``, use ``panorama-batch
---cache-backend``, or set :data:`ENV_BACKEND_VAR`
-(``PANORAMA_CACHE_BACKEND``).  The default is ``disk``.
+``SummaryCache``/``BatchEngine``, or use ``--cache-backend`` on
+``panorama-batch``/``panorama-campaign``/``panorama-serve``.  The
+default is ``disk``.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ from ..resilience.breaker import CircuitBreaker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cache imports us)
     from .cache import CacheStats, RoutineCacheEntry
-
-#: environment selector for the default backend kind
-ENV_BACKEND_VAR = "PANORAMA_CACHE_BACKEND"
 
 #: kinds make_backend accepts
 BACKEND_KINDS = ("disk", "shared")
@@ -567,12 +564,6 @@ class SharedSQLiteBackend(_BreakerMixin):
         return int(self._with_retry(count, default=0) or 0)
 
 
-def default_backend_kind() -> str:
-    """The backend kind selected by the environment (``disk`` default)."""
-    kind = os.environ.get(ENV_BACKEND_VAR, "").strip().lower()
-    return kind if kind in BACKEND_KINDS else "disk"
-
-
 def make_backend(
     kind: Optional[str],
     cache_dir,
@@ -581,15 +572,13 @@ def make_backend(
     """Construct the durable tier for *cache_dir*.
 
     ``cache_dir=None`` means memory-only: no backend, whatever *kind*
-    says.  ``kind=None`` defers to :data:`ENV_BACKEND_VAR` and falls
-    back to ``disk``.  Unknown kinds raise ``ValueError`` — a typo must
-    not silently select a different persistence story.
+    says.  ``kind=None`` means ``disk``.  Unknown kinds raise
+    ``ValueError`` — a typo must not silently select a different
+    persistence story.
     """
     if cache_dir is None:
         return None
-    if kind is None:
-        kind = default_backend_kind()
-    kind = kind.strip().lower()
+    kind = "disk" if kind is None else kind.strip().lower()
     if kind == "disk":
         return DiskBackend(cache_dir, stats)
     if kind == "shared":

@@ -34,11 +34,11 @@ import traceback
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Optional, Sequence
 
-from ..dataflow.context import AnalysisOptions
+from ..dataflow.context import AnalysisOptions, AnalysisStats
 from ..driver.panorama import Panorama
 from ..errors import (
     EXIT_DEGRADED,
@@ -49,12 +49,13 @@ from ..errors import (
     HARD_ERROR_KINDS,
     classify_exception,
 )
+from ..perf import metrics
 from ..resilience import faults
 from ..resilience.backoff import backoff_delay
 from .cache import CacheStats, CachingHooks, SummaryCache
 from .ledger import LedgerReplay, LedgerWriter
 from .scheduler import SchedulePlan, plan_schedule, resolve_schedule_mode
-from .telemetry import EngineTelemetry, result_to_dict
+from .telemetry import EngineTelemetry, ResilienceStats, result_to_dict
 
 
 @dataclass(frozen=True)
@@ -132,7 +133,8 @@ class BatchItemResult:
             return self.error_kind in FAULT_ERROR_KINDS
         if self.payload is None:
             return False
-        if self.payload.get("stats", {}).get("budget_degradations"):
+        stats = metrics.from_dict(AnalysisStats, self.payload.get("stats", {}))
+        if stats.budget_degradations:
             return True
         return any(r.get("degraded") for r in self.payload.get("loops", []))
 
@@ -273,7 +275,7 @@ def _analyze_item(
             if cache is not None
             else SummaryCache(cache_dir, backend=cache_backend)
         )
-        before = own_cache.stats.copy()
+        before = replace(own_cache.stats)
         hooks = CachingHooks(own_cache)
         panorama = Panorama(
             options,
@@ -292,7 +294,7 @@ def _analyze_item(
         return BatchItemResult(
             name=item.name,
             payload=result_to_dict(result, name=item.name, audit=audit_report),
-            cache_stats=own_cache.stats.delta(before),
+            cache_stats=metrics.delta(own_cache.stats, before),
             stored_fingerprints=list(hooks.stored_fingerprints),
             reused_routines=sorted(hooks.reused),
             computed_routines=sorted(hooks.computed),
@@ -371,13 +373,11 @@ def _result_from_ledger(record: Mapping[str, Any]) -> BatchItemResult:
     a resumed run's report folds the same verdict data the uninterrupted
     run would have.
     """
-    known = CacheStats().as_dict()
-    raw = record.get("cache_stats") or {}
     return BatchItemResult(
         name=str(record.get("name", "?")),
         payload=record.get("payload"),
-        cache_stats=CacheStats(
-            **{k: int(v) for k, v in raw.items() if k in known}
+        cache_stats=metrics.from_dict(
+            CacheStats, record.get("cache_stats") or {}
         ),
         stored_fingerprints=list(record.get("stored_fingerprints", [])),
         reused_routines=list(record.get("reused_routines", [])),
@@ -445,7 +445,7 @@ class BatchEngine:
         self.audit = audit
         #: supervision counters of the most recent run (rolled into the
         #: report's EngineTelemetry)
-        self.supervision: dict[str, int] = {}
+        self.supervision = ResilienceStats()
         #: run ledger writer (None = no journaling) and the replay of a
         #: prior ledger to resume from (None = fresh run); the caller
         #: must have verified replay identity (ledger.verify_identity)
@@ -503,13 +503,7 @@ class BatchEngine:
         flushed, and the report comes back ``interrupted``.
         """
         t0 = time.perf_counter()
-        self.supervision = {
-            "retries": 0,
-            "timeouts": 0,
-            "worker_crashes": 0,
-            "pool_rebuilds": 0,
-            "quarantined": 0,
-        }
+        self.supervision = ResilienceStats()
         self.interrupted = False
         self._finalized = 0
         results_by_idx: list[Optional[BatchItemResult]] = [None] * len(items)
@@ -590,16 +584,17 @@ class BatchEngine:
         tele.wall_seconds = time.perf_counter() - t0
         tele.cache_backend = self.cache.backend_name
         tele.interrupted = self.interrupted
-        tele.sched.update(plan.as_dict())
+        metrics.fold(tele.sched, plan)  # the plan is a ScheduleStats
+        tele.sched.mode = plan.mode  # a label: folds keep the target's
         # topo payoff: cache hits landed by items that waited on at
         # least one scheduled provider (their warmth is the plan's work)
         sub_results = [results_by_idx[i] for i in active]
-        tele.sched["topo_hits"] = sum(
+        tele.sched.topo_hits = sum(
             sub_results[i].cache_stats.hits
             for i, d in plan.deps.items()
             if d and i < len(sub_results) and sub_results[i] is not None
         )
-        tele.resilience["resumed_items"] = len(resumed)
+        tele.resilience.resumed_items = len(resumed)
         for res in results:
             if res.ok and res.payload is not None:
                 tele.note_result(res.payload)
@@ -607,9 +602,8 @@ class BatchEngine:
                 tele.errors += 1
             tele.note_cache(res.cache_stats)
             if res.degraded:
-                tele.resilience["degraded_items"] += 1
-        for key, value in self.supervision.items():
-            tele.resilience[key] = tele.resilience.get(key, 0) + value
+                tele.resilience.degraded_items += 1
+        metrics.fold(tele.resilience, self.supervision)
         return report
 
     def run_paths(self, paths: Iterable[str | Path]) -> BatchReport:
@@ -722,13 +716,13 @@ class BatchEngine:
         def fail(idx: int, kind: str, message: str) -> None:
             """Record a failed attempt: retry, or produce a final result."""
             if kind != "source" and attempts[idx] < self.max_attempts:
-                sup["retries"] += 1
+                sup.retries += 1
                 delay = backoff_delay(attempts[idx], self.backoff_base, rng)
                 delayed.append((time.monotonic() + delay, idx))
                 return
             quarantined = kind not in ("source",) and attempts[idx] >= self.max_attempts
             if quarantined:
-                sup["quarantined"] += 1
+                sup.quarantined += 1
             results[idx] = BatchItemResult(
                 name=items[idx].name,
                 error=message,
@@ -740,7 +734,7 @@ class BatchEngine:
             self._finalize(index_map[idx], results[idx])
 
         def rebuild_pool() -> ProcessPoolExecutor:
-            sup["pool_rebuilds"] += 1
+            sup.pool_rebuilds += 1
             self._teardown_pool(pool)
             return _new_pool(workers)
 
@@ -784,7 +778,7 @@ class BatchEngine:
                     try:
                         submit(idx)
                     except BrokenProcessPool:
-                        sup["worker_crashes"] += 1
+                        sup.worker_crashes += 1
                         probe = True
                         fail(
                             idx,
@@ -836,7 +830,7 @@ class BatchEngine:
                         res = fut.result()
                     except BrokenProcessPool:
                         broken = True
-                        sup["worker_crashes"] += 1
+                        sup.worker_crashes += 1
                         fail(
                             idx,
                             "worker-crash",
@@ -861,7 +855,7 @@ class BatchEngine:
                     # attributed) and re-dispatch through the retry path
                     # on a fresh pool
                     probe = True
-                    sup["worker_crashes"] += len(pending)
+                    sup.worker_crashes += len(pending)
                     for fut, (idx, _) in list(pending.items()):
                         fail(
                             idx,
@@ -881,7 +875,7 @@ class BatchEngine:
                     if deadline is not None and now >= deadline
                 ]
                 if expired:
-                    sup["timeouts"] += len(expired)
+                    sup.timeouts += len(expired)
                     expired_ids = set()
                     for fut, idx in expired:
                         expired_ids.add(idx)

@@ -39,6 +39,7 @@ from ..dataflow.summary import Summary
 from ..fortran.ast_nodes import Program
 from ..fortran.callgraph import CallGraph
 from ..fortran.printers import unparse_unit
+from ..perf.metrics import MetricGroup
 from .backends import CacheBackend, DiskBackend, make_backend
 
 #: bump when RoutineCacheEntry or the pickled analysis types change shape
@@ -113,8 +114,9 @@ class RoutineCacheEntry:
 
 
 @dataclass
-class CacheStats:
-    """Counters exported through the engine telemetry."""
+class CacheStats(MetricGroup):
+    """Counters exported through the engine telemetry (a
+    :mod:`repro.perf.metrics` group: every counter sums when folded)."""
 
     hits: int = 0
     misses: int = 0
@@ -138,53 +140,6 @@ class CacheStats:
     breaker_recoveries: int = 0
     breaker_skipped: int = 0
 
-    def merge(self, other: "CacheStats") -> None:
-        self.hits += other.hits
-        self.misses += other.misses
-        self.memory_hits += other.memory_hits
-        self.disk_hits += other.disk_hits
-        self.stores += other.stores
-        self.evictions += other.evictions
-        self.disk_errors += other.disk_errors
-        self.quarantined += other.quarantined
-        self.shared_hits += other.shared_hits
-        self.shared_misses += other.shared_misses
-        self.contention_retries += other.contention_retries
-        self.quarantine_evicted += other.quarantine_evicted
-        self.breaker_trips += other.breaker_trips
-        self.breaker_recoveries += other.breaker_recoveries
-        self.breaker_skipped += other.breaker_skipped
-
-    def copy(self) -> "CacheStats":
-        return CacheStats(**self.as_dict())
-
-    def delta(self, since: "CacheStats") -> "CacheStats":
-        """Counters accumulated after the *since* snapshot (per-item
-        attribution when several items share one cache instance)."""
-        ours = self.as_dict()
-        return CacheStats(
-            **{key: ours[key] - value for key, value in since.as_dict().items()}
-        )
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "disk_errors": self.disk_errors,
-            "quarantined": self.quarantined,
-            "shared_hits": self.shared_hits,
-            "shared_misses": self.shared_misses,
-            "contention_retries": self.contention_retries,
-            "quarantine_evicted": self.quarantine_evicted,
-            "breaker_trips": self.breaker_trips,
-            "breaker_recoveries": self.breaker_recoveries,
-            "breaker_skipped": self.breaker_skipped,
-        }
-
 
 # --------------------------------------------------------------------------- #
 # the two-tier store
@@ -198,8 +153,7 @@ class SummaryCache:
     and single-process warm reruns).  With a directory, *backend*
     selects the durable tier: ``"disk"`` (pickle files, the default),
     ``"shared"`` (multi-process SQLite), an already-built
-    :class:`CacheBackend` instance, or None to defer to
-    ``$PANORAMA_CACHE_BACKEND``.
+    :class:`CacheBackend` instance, or None for ``disk``.
     """
 
     def __init__(

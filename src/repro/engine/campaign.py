@@ -35,7 +35,11 @@ from ..kernels.synthetic import (
     make_loop_nest,
     make_routine,
 )
+from ..perf import metrics
 from .batch import BatchItem
+from .cache import CacheStats
+from .scheduler import ScheduleStats
+from .telemetry import EngineTelemetry
 
 #: bump when the generator's output changes for a fixed seed (recorded
 #: in every rollup so old scoreboard lines stay reproducible against
@@ -156,61 +160,38 @@ def shard_items(
 # rollup
 # --------------------------------------------------------------------------- #
 
-_SUM_TOP = ("files", "errors", "loops", "parallel_loops", "jobs")
-_SUM_DICTS = ("timings", "cache", "resilience", "audit", "symbolic", "verdicts")
-
 
 def merge_rollups(payloads: Sequence[dict[str, Any]]) -> dict[str, Any]:
     """Merge per-shard ``--stats-json`` payloads into one scoreboard.
 
-    Counters sum (``peak_gar_list`` maxes), verdict histograms add,
-    wall-clock reports both the fleet total and the critical-path max.
-    Shards carrying conflicting campaign provenance (different seed or
+    Shards fold as :class:`EngineTelemetry` groups, by the engine's own
+    rules; per-run labels become distinct-value lists, and wall-clock
+    reports both the fleet total and the critical-path max.  Shards
+    carrying conflicting campaign provenance (different seed or
     generator version) are refused: a scoreboard must describe exactly
     one reproducible corpus.
     """
     if not payloads:
         raise ValueError("nothing to merge")
-    out: dict[str, Any] = {"shards": len(payloads)}
-    for key in _SUM_TOP:
-        out[key] = sum(int(p.get(key, 0)) for p in payloads)
-    for key in _SUM_DICTS:
-        merged: dict[str, float] = {}
-        for p in payloads:
-            for k, v in p.get(key, {}).items():
-                merged[k] = merged.get(k, 0) + v
-        out[key] = merged
-    peak = max(
-        int(p.get("stats", {}).get("peak_gar_list", 0)) for p in payloads
-    )
-    stats: dict[str, int] = {}
-    for p in payloads:
-        for k, v in p.get("stats", {}).items():
-            stats[k] = stats.get(k, 0) + int(v)
-    stats["peak_gar_list"] = peak
-    out["stats"] = stats
+    shards = [metrics.from_dict(EngineTelemetry, p) for p in payloads]
+    total = metrics.from_dict(EngineTelemetry, payloads[0])
+    for shard in shards[1:]:
+        metrics.fold(total, shard)
+    out = total.as_dict()
+    del out["cache_backend"], out["campaign"], out["interrupted"]
+    del out["sched"]["mode"]
+    out["shards"] = len(shards)
     out["wall_seconds"] = {
-        "total": sum(float(p.get("wall_seconds", 0.0)) for p in payloads),
-        "max": max(float(p.get("wall_seconds", 0.0)) for p in payloads),
+        "total": total.wall_seconds,
+        "max": max(s.wall_seconds for s in shards),
     }
-    hits = out["cache"].get("hits", 0)
-    misses = out["cache"].get("misses", 0)
+    hits, misses = total.cache.hits, total.cache.misses
     out["cache"]["hit_rate"] = (
         round(hits / (hits + misses), 4) if hits + misses else 0.0
     )
-    out["cache_backends"] = sorted(
-        {p.get("cache_backend", "memory") for p in payloads}
-    )
-    sched: dict[str, Any] = {"modes": sorted(
-        {p.get("sched", {}).get("mode", "arbitrary") for p in payloads}
-    )}
-    for k in ("edges", "gated_items", "cyclic_items", "opaque_items",
-              "topo_hits"):
-        sched[k] = sum(int(p.get("sched", {}).get(k, 0)) for p in payloads)
-    out["sched"] = sched
-
-    campaigns = [p.get("campaign") or {} for p in payloads]
-    tagged = [c for c in campaigns if c]
+    out["cache_backends"] = sorted({s.cache_backend for s in shards})
+    out["sched"]["modes"] = sorted({s.sched.mode for s in shards})
+    tagged = [s.campaign for s in shards if s.campaign]
     if tagged:
         identity = {
             (c.get("seed"), c.get("generator_version"), c.get("count"))
@@ -260,19 +241,17 @@ def format_scoreboard(rollup: dict[str, Any]) -> str:
             f"{k}={int(v)}" for k, v in sorted(verdicts.items())
         )
         lines.append(f"verdicts: {hist}")
-    cache = rollup.get("cache", {})
+    cache = metrics.from_dict(CacheStats, rollup.get("cache", {}))
     lines.append(
         f"cache[{'/'.join(rollup.get('cache_backends', []))}]: "
-        f"{int(cache.get('hits', 0))} hit(s), "
-        f"{int(cache.get('misses', 0))} miss(es), "
-        f"hit rate {cache.get('hit_rate', 0.0):.1%}"
+        f"{int(cache.hits)} hit(s), {int(cache.misses)} miss(es), "
+        f"hit rate {rollup.get('cache', {}).get('hit_rate', 0.0):.1%}"
     )
-    sched = rollup.get("sched", {})
+    sched = metrics.from_dict(ScheduleStats, rollup.get("sched", {}))
     lines.append(
-        f"sched[{'/'.join(sched.get('modes', []))}]: "
-        f"{sched.get('edges', 0)} edge(s), "
-        f"{sched.get('gated_items', 0)} gated, "
-        f"{sched.get('topo_hits', 0)} topo hit(s)"
+        f"sched[{'/'.join(rollup.get('sched', {}).get('modes', []))}]: "
+        f"{sched.edges} edge(s), {sched.gated_items} gated, "
+        f"{sched.topo_hits} topo hit(s)"
     )
     wall = rollup.get("wall_seconds", {})
     lines.append(
@@ -326,8 +305,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--cache-backend", choices=list(BACKEND_KINDS),
-        help="durable-tier implementation (default: $PANORAMA_CACHE_BACKEND"
-        " or disk)",
+        help="durable-tier implementation (default: disk)",
     )
     parser.add_argument(
         "--schedule", choices=list(SCHEDULE_MODES), default="auto",

@@ -15,8 +15,6 @@ import os
 import signal
 import sys
 
-from types import SimpleNamespace
-
 from .. import __version__
 from ..dataflow.context import add_option_flags, options_from_args
 from ..driver.report import format_stats, format_table, yes_no
@@ -62,8 +60,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--cache-backend",
         choices=BACKEND_KINDS,
         help="durable cache tier: pickle files (disk) or the "
-        "multi-process SQLite tier (shared); default "
-        "$PANORAMA_CACHE_BACKEND or disk",
+        "multi-process SQLite tier (shared); default disk",
     )
     parser.add_argument(
         "--schedule",
@@ -334,19 +331,20 @@ def main(argv: list[str] | None = None) -> int:
         tele = report.telemetry
         print(
             format_stats(
-                SimpleNamespace(**tele.stats, symbolic=tele.symbolic),
+                tele.stats,
                 cache_backend=tele.cache_backend,
+                symbolic=tele.symbolic,
             )
         )
         if run_audit:
-            a = report.telemetry.audit
+            a = tele.audit
             print(
-                f"audit: {a['loops_audited']} loop(s), "
-                f"{a['pairs_checked']} pair(s); "
-                f"{a['confirmed']} confirmed, {a['guarded']} guarded, "
-                f"{a['undecided']} undecided, "
-                f"{a['oracle_conflicts']} oracle conflict(s), "
-                f"{a['lint']} lint, {a['sanitizer']} sanitizer"
+                f"audit: {a.loops_audited} loop(s), "
+                f"{a.pairs_checked} pair(s); "
+                f"{a.confirmed} confirmed, {a.guarded} guarded, "
+                f"{a.undecided} undecided, "
+                f"{a.oracle_conflicts} oracle conflict(s), "
+                f"{a.lint} lint, {a.sanitizer} sanitizer"
             )
             from ..diagnostics import render_text
 

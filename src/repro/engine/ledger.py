@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
 from ..dataflow.context import options_key
+from ..perf import metrics
 from ..resilience import faults
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -235,7 +236,7 @@ class LedgerWriter:
                 "stored_fingerprints": list(result.stored_fingerprints),
                 "reused_routines": list(result.reused_routines),
                 "computed_routines": list(result.computed_routines),
-                "cache_stats": result.cache_stats.as_dict(),
+                "cache_stats": metrics.as_dict(result.cache_stats),
             }
         )
 

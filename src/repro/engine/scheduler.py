@@ -44,6 +44,7 @@ from ..dataflow.context import AnalysisOptions
 from ..fortran.callgraph import build_call_graph
 from ..fortran.parser import parse_program
 from ..fortran.semantics import analyze
+from ..perf.metrics import KEEP, MetricGroup
 from .cache import fingerprint_program
 
 #: recognized --schedule spellings
@@ -63,36 +64,33 @@ class ItemTopology:
 
 
 @dataclass
-class SchedulePlan:
-    """A dispatch order plus the dependency structure behind it."""
+class ScheduleStats(MetricGroup):
+    """The scheduler's counters: the telemetry ``sched`` group."""
 
-    #: item indices in dispatch order (covers every item exactly once)
-    order: list[int]
-    #: per-item indices that should finalize first (cross-SCC only, so
-    #: gating on them can never deadlock)
-    deps: dict[int, set[int]] = field(default_factory=dict)
     #: "topo" or "arbitrary"
-    mode: str = "arbitrary"
+    mode: str = field(default="arbitrary", metadata=KEEP)
     #: inter-item provider→consumer edges discovered
     edges: int = 0
+    #: items that wait on at least one provider
+    gated_items: int = 0
     #: items living inside multi-item SCCs (ordered arbitrarily there)
     cyclic_items: int = 0
     #: items that could not be fingerprinted (scheduled, ungated)
     opaque_items: int = 0
+    #: cache hits landed by gated items once their providers finalized
+    #: (filled by the engine after the run: the plan's payoff)
+    topo_hits: int = 0
 
-    @property
-    def gated_items(self) -> int:
-        """Items that wait on at least one provider."""
-        return sum(1 for d in self.deps.values() if d)
 
-    def as_dict(self) -> dict[str, int | str]:
-        return {
-            "mode": self.mode,
-            "edges": self.edges,
-            "gated_items": self.gated_items,
-            "cyclic_items": self.cyclic_items,
-            "opaque_items": self.opaque_items,
-        }
+@dataclass
+class SchedulePlan(ScheduleStats):
+    """A dispatch order plus the dependency structure behind it."""
+
+    #: item indices in dispatch order (covers every item exactly once)
+    order: list[int] = field(default_factory=list)
+    #: per-item indices that should finalize first (cross-SCC only, so
+    #: gating on them can never deadlock)
+    deps: dict[int, set[int]] = field(default_factory=dict)
 
 
 def item_topology(
@@ -219,6 +217,7 @@ def plan_schedule(
         deps=deps,
         mode="topo",
         edges=edges,
+        gated_items=sum(1 for d in deps.values() if d),
         cyclic_items=sum(
             len(m) for m in scc_members.values() if len(m) > 1
         ),

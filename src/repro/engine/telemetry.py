@@ -7,11 +7,13 @@ Two jobs:
   verdict, used by ``panorama --json``, by ``panorama-batch``, and by
   the batch workers to ship results across process boundaries (dicts of
   primitives travel cheaply and diff cleanly, unlike pickled ASTs);
-* roll analysis cost up — :class:`EngineTelemetry` aggregates per-file
-  :class:`~repro.driver.panorama.StageTimings`,
-  :class:`~repro.dataflow.context.AnalysisStats`, and
-  :class:`~repro.engine.cache.CacheStats` into the ``--stats-json``
-  export (the Figure 4 "analysis costs little" claim, at batch scale).
+* roll analysis cost up — :class:`EngineTelemetry` nests the declared
+  metric groups (:class:`~repro.driver.panorama.StageTimings`,
+  :class:`~repro.dataflow.context.AnalysisStats`,
+  :class:`~repro.engine.cache.CacheStats`, the resilience, audit and
+  schedule counters) and folds per-file results into them with
+  :mod:`repro.perf.metrics` for the ``--stats-json`` export (the
+  Figure 4 "analysis costs little" claim, at batch scale).
 """
 
 from __future__ import annotations
@@ -20,9 +22,13 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..audit.auditor import AuditCounts
 from ..dataflow.context import AnalysisStats
 from ..driver.panorama import CompilationResult, LoopReport, StageTimings
+from ..perf import metrics
+from ..perf.metrics import MetricGroup
 from .cache import CacheStats
+from .scheduler import ScheduleStats
 
 
 # --------------------------------------------------------------------------- #
@@ -64,31 +70,8 @@ def loop_report_row(report: LoopReport) -> dict[str, Any]:
     return row
 
 
-def timings_dict(timings: StageTimings) -> dict[str, float]:
-    """StageTimings as a JSON-ready dict of seconds."""
-    return {
-        "parse": timings.parse,
-        "frontend": timings.frontend,
-        "conventional": timings.conventional,
-        "dataflow": timings.dataflow,
-        "machine": timings.machine,
-        "total": timings.total,
-    }
-
-
-def analysis_stats_dict(stats: AnalysisStats) -> dict[str, int]:
-    """AnalysisStats as a JSON-ready dict."""
-    return {
-        "nodes_visited": stats.nodes_visited,
-        "gar_ops": stats.gar_ops,
-        "loops_summarized": stats.loops_summarized,
-        "routines_summarized": stats.routines_summarized,
-        "peak_gar_list": stats.peak_gar_list,
-        "budget_degradations": stats.budget_degradations,
-        "content_facts": stats.content_facts,
-        "recurrence_matches": stats.recurrence_matches,
-        "frontier_upgrades": stats.frontier_upgrades,
-    }
+#: AnalysisStats as a JSON-ready dict (the name benchmark tooling imports)
+analysis_stats_dict = metrics.as_dict
 
 
 def result_to_dict(
@@ -106,11 +89,11 @@ def result_to_dict(
     out: dict[str, Any] = {
         "loops": [loop_report_row(r) for r in result.loops],
         "parallel_loops": len(result.parallel_loops()),
-        "timings": timings_dict(result.timings),
-        "stats": analysis_stats_dict(result.analyzer.stats),
+        "timings": metrics.as_dict(result.timings),
+        "stats": metrics.as_dict(result.analyzer.stats),
         # symbolic-kernel counter/cache deltas ride as their own key:
         # "stats" stays a flat int dict the roll-up can fold blindly
-        "symbolic": dict(result.analyzer.stats.symbolic),
+        "symbolic": dict(result.symbolic),
     }
     if audit is not None:
         out["audit"] = audit.to_payload()
@@ -125,68 +108,46 @@ def result_to_dict(
 
 
 @dataclass
-class EngineTelemetry:
-    """Aggregated counters for one batch/incremental engine run."""
+class ResilienceStats(MetricGroup):
+    """Batch-engine supervision counters (docs/robustness.md,
+    "degradation ladder")."""
+
+    retries: int = 0
+    timeouts: int = 0
+    worker_crashes: int = 0
+    pool_rebuilds: int = 0
+    quarantined: int = 0
+    degraded_items: int = 0
+    degraded_loops: int = 0
+    resumed_items: int = 0
+
+
+@dataclass
+class AuditStats(AuditCounts):
+    """Static-audit counters (docs/auditing.md) summed over per-item
+    ``"audit"`` payloads; all zero when the audit did not run."""
+
+    #: items that carried an audit payload
+    audited_files: int = 0
+
+
+@dataclass
+class EngineTelemetry(MetricGroup):
+    """Aggregated counters for one batch/incremental engine run.
+
+    Itself a :mod:`repro.perf.metrics` group, so the campaign rollup
+    folds shard exports with exactly the rules :meth:`note_result` and
+    :meth:`note_cache` fold items with.
+    """
 
     files: int = 0
     errors: int = 0
     loops: int = 0
     parallel_loops: int = 0
-    timings: dict[str, float] = field(
-        default_factory=lambda: {
-            "parse": 0.0,
-            "frontend": 0.0,
-            "conventional": 0.0,
-            "dataflow": 0.0,
-            "machine": 0.0,
-            "total": 0.0,
-        }
-    )
-    stats: dict[str, int] = field(
-        default_factory=lambda: {
-            "nodes_visited": 0,
-            "gar_ops": 0,
-            "loops_summarized": 0,
-            "routines_summarized": 0,
-            "peak_gar_list": 0,
-            "budget_degradations": 0,
-            "content_facts": 0,
-            "recurrence_matches": 0,
-            "frontier_upgrades": 0,
-        }
-    )
-    #: resilience counters (batch-engine supervision, section
-    #: "degradation ladder" of docs/robustness.md)
-    resilience: dict[str, int] = field(
-        default_factory=lambda: {
-            "retries": 0,
-            "timeouts": 0,
-            "worker_crashes": 0,
-            "pool_rebuilds": 0,
-            "quarantined": 0,
-            "degraded_items": 0,
-            "degraded_loops": 0,
-            "resumed_items": 0,
-        }
-    )
-    #: static-audit counters (docs/auditing.md), folded from per-item
-    #: ``"audit"`` payloads; all zero when the audit did not run
-    audit: dict[str, int] = field(
-        default_factory=lambda: {
-            "audited_files": 0,
-            "loops_audited": 0,
-            "pairs_checked": 0,
-            "confirmed": 0,
-            "guarded": 0,
-            "undecided": 0,
-            "skipped": 0,
-            "evidence_replay": 0,
-            "evidence_unsupported": 0,
-            "oracle_conflicts": 0,
-            "lint": 0,
-            "sanitizer": 0,
-        }
-    )
+    timings: StageTimings = field(default_factory=StageTimings)
+    stats: AnalysisStats = field(default_factory=AnalysisStats)
+    resilience: ResilienceStats = field(default_factory=ResilienceStats)
+    audit: AuditStats = field(default_factory=AuditStats)
     cache: CacheStats = field(default_factory=CacheStats)
     #: symbolic-kernel counter/cache deltas summed across results (flat
     #: ``repro.perf`` snapshot keys → numbers)
@@ -195,27 +156,18 @@ class EngineTelemetry:
     wall_seconds: float = 0.0
     jobs: int = 1
     #: durable cache tier this run wrote through ("memory"/"disk"/"shared")
-    cache_backend: str = "memory"
-    #: topology-scheduler counters (SchedulePlan.as_dict + topo_hits:
-    #: cache hits landed by items that waited on a scheduled provider)
-    sched: dict[str, Any] = field(
-        default_factory=lambda: {
-            "mode": "arbitrary",
-            "edges": 0,
-            "gated_items": 0,
-            "cyclic_items": 0,
-            "opaque_items": 0,
-            "topo_hits": 0,
-        }
-    )
+    cache_backend: str = field(default="memory", metadata=metrics.KEEP)
+    sched: ScheduleStats = field(default_factory=ScheduleStats)
     #: campaign provenance (seed, generator version, shard) — empty for
     #: plain batch runs; filled by repro.engine.campaign
-    campaign: dict[str, Any] = field(default_factory=dict)
+    campaign: dict[str, Any] = field(
+        default_factory=dict, metadata=metrics.KEEP
+    )
     #: verdict histogram: per-loop status values → counts
     verdicts: dict[str, int] = field(default_factory=dict)
     #: True when a drain request or interrupt stopped the run early
     #: (exit code 5; see docs/robustness.md "Crash safety & resume")
-    interrupted: bool = False
+    interrupted: bool = field(default=False, metadata=metrics.KEEP)
 
     def note_result(self, payload: dict[str, Any]) -> None:
         """Fold one serialized compilation result into the roll-up."""
@@ -226,48 +178,24 @@ class EngineTelemetry:
         for r in rows:
             status = r.get("status", "unknown")
             self.verdicts[status] = self.verdicts.get(status, 0) + 1
-        self.resilience["degraded_loops"] += sum(
-            1 for r in rows if r.get("degraded")
-        )
-        for key, value in payload.get("timings", {}).items():
-            self.timings[key] = self.timings.get(key, 0.0) + value
-        for key, value in payload.get("stats", {}).items():
-            if key == "peak_gar_list":
-                self.stats[key] = max(self.stats.get(key, 0), value)
-            else:
-                self.stats[key] = self.stats.get(key, 0) + value
-        for key, value in payload.get("symbolic", {}).items():
-            self.symbolic[key] = self.symbolic.get(key, 0) + value
+        degraded = sum(1 for r in rows if r.get("degraded"))
+        self.resilience.degraded_loops += degraded
+        metrics.fold(self, {
+            "timings": payload.get("timings", {}),
+            "stats": payload.get("stats", {}),
+            "symbolic": payload.get("symbolic", {}),
+        })
         audit = payload.get("audit")
         if audit is not None:
-            self.audit["audited_files"] += 1
-            for key, value in audit.get("counts", {}).items():
-                self.audit[key] = self.audit.get(key, 0) + value
+            self.audit.audited_files += 1
+            metrics.fold(self.audit, audit.get("counts", {}))
 
     def note_cache(self, stats: CacheStats) -> None:
         """Fold one worker's cache counters into the roll-up."""
-        self.cache.merge(stats)
+        metrics.fold(self.cache, stats)
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "files": self.files,
-            "errors": self.errors,
-            "loops": self.loops,
-            "parallel_loops": self.parallel_loops,
-            "jobs": self.jobs,
-            "wall_seconds": self.wall_seconds,
-            "timings": dict(self.timings),
-            "stats": dict(self.stats),
-            "cache": self.cache.as_dict(),
-            "cache_backend": self.cache_backend,
-            "symbolic": dict(self.symbolic),
-            "resilience": dict(self.resilience),
-            "audit": dict(self.audit),
-            "sched": dict(self.sched),
-            "campaign": dict(self.campaign),
-            "verdicts": dict(self.verdicts),
-            "interrupted": self.interrupted,
-        }
+        return metrics.as_dict(self)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.as_dict(), indent=indent, sort_keys=True)

@@ -1,8 +1,9 @@
 """Profiling and cache-observability layer for the symbolic kernels.
 
-See :mod:`repro.perf.profiler` for the instruments.  This package must
-stay dependency-free within :mod:`repro` — the symbolic substrate
-imports it, never the other way round.
+See :mod:`repro.perf.profiler` for the instruments and
+:mod:`repro.perf.metrics` for the declared counter groups.  This
+package must stay dependency-free within :mod:`repro` — the symbolic
+substrate imports it, never the other way round.
 """
 
 from .profiler import (

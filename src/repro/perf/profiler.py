@@ -321,12 +321,11 @@ def probe() -> Probe:
     return Probe()
 
 
-def hit_rate(snap: Dict[str, float], prefix: str = "cache.") -> float | None:
-    """Aggregate hit rate over the ``<prefix>*.hits/.misses`` gauges.
-
-    Accepts a full :func:`snapshot` or a :func:`delta`; returns ``None``
-    when the slice saw no lookups at all (0/0 is not a rate).
-    """
+def hit_counts(
+    snap: Dict[str, float], prefix: str = "cache."
+) -> tuple[float, float]:
+    """Summed ``(hits, misses)`` over the ``<prefix>*.hits/.misses``
+    gauges of a :func:`snapshot` or a :func:`delta`."""
     hits = 0.0
     misses = 0.0
     for key, value in snap.items():
@@ -336,6 +335,16 @@ def hit_rate(snap: Dict[str, float], prefix: str = "cache.") -> float | None:
             hits += value
         elif key.endswith(".misses"):
             misses += value
+    return hits, misses
+
+
+def hit_rate(snap: Dict[str, float], prefix: str = "cache.") -> float | None:
+    """Aggregate hit rate over the ``<prefix>*.hits/.misses`` gauges.
+
+    Accepts a full :func:`snapshot` or a :func:`delta`; returns ``None``
+    when the slice saw no lookups at all (0/0 is not a rate).
+    """
+    hits, misses = hit_counts(snap, prefix)
     total = hits + misses
     if total <= 0:
         return None

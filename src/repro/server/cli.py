@@ -82,8 +82,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--cache-backend",
         choices=BACKEND_KINDS,
         help="durable cache tier: pickle files (disk) or the "
-        "multi-process SQLite tier (shared); default "
-        "$PANORAMA_CACHE_BACKEND or disk",
+        "multi-process SQLite tier (shared); default disk",
     )
     parser.add_argument(
         "--audit",

@@ -33,7 +33,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from .. import __version__
@@ -49,7 +49,7 @@ from ..engine.cache import CachingHooks, SummaryCache
 from ..engine.incremental import IncrementalEngine
 from ..engine.telemetry import EngineTelemetry, loop_report_row, result_to_dict
 from ..errors import ReproError, classify_exception
-from ..perf import profiler
+from ..perf import metrics, profiler
 
 #: event type tags of the NDJSON stream, in emission order
 STREAM_EVENTS = ("routine_started", "loop_verdict", "diagnostic", "done")
@@ -75,9 +75,9 @@ class ServerConfig:
     #: optional durable tier for the summary cache (shared with the
     #: batch engine's --cache-dir format)
     cache_dir: Optional[str] = None
-    #: durable-tier implementation: "disk" | "shared" | None
-    #: (= $PANORAMA_CACHE_BACKEND or disk); "shared" lets a daemon and
-    #: concurrent batch shards serve one SQLite summary tier
+    #: durable-tier implementation: "disk" | "shared" | None (= disk);
+    #: "shared" lets a daemon and concurrent batch shards serve one
+    #: SQLite summary tier
     cache_backend: Optional[str] = None
     #: run the static soundness auditor on every analyze by default
     #: (requests can override per call)
@@ -244,7 +244,7 @@ class AnalysisService:
         run_audit = self._audit_of(body, self.config.audit)
 
         t0 = time.perf_counter()
-        cache_before = self.cache.stats.copy()
+        cache_before = replace(self.cache.stats)
         hooks: PipelineHooks = CachingHooks(self.cache)
         if on_event is not None:
             hooks = CompositeHooks(hooks, _EventHooks(on_event))
@@ -329,7 +329,9 @@ class AnalysisService:
         return {
             "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
             "degraded_loops": len(result.degraded_loops()),
-            "summary_cache": self.cache.stats.delta(cache_before).as_dict(),
+            "summary_cache": metrics.as_dict(
+                metrics.delta(self.cache.stats, cache_before)
+            ),
             "symbolic": symbolic,
             # hit rate of the symbolic memo/interning tables, this
             # request only: the number that climbs as the daemon warms
@@ -379,7 +381,7 @@ class AnalysisService:
         name, source = self._source_of(body)
         sizes = self._sizes_of(body)
         t0 = time.perf_counter()
-        cache_before = self.cache.stats.copy()
+        cache_before = replace(self.cache.stats)
         with profiler.probe() as pr:
             try:
                 inc = session.engine.analyze(
@@ -445,6 +447,9 @@ class AnalysisService:
         """The ``GET /v1/stats`` payload: every resident gauge at once."""
         snap = profiler.snapshot()
         telemetry = self.telemetry.as_dict()
+        # the daemon's one summary cache is reported once, top level:
+        # request folds never touch the roll-up's cache group
+        del telemetry["cache"], telemetry["cache_backend"]
         return {
             "server": {
                 "version": __version__,
@@ -467,7 +472,7 @@ class AnalysisService:
             "perf": snap,
             "hit_rate": profiler.hit_rate(snap),
             "cache_backend": self.cache.backend_name,
-            "summary_cache": self.cache.stats.as_dict(),
+            "summary_cache": metrics.as_dict(self.cache.stats),
             # batch-style roll-up: timings/stats/resilience/audit counters
             "telemetry": telemetry,
         }

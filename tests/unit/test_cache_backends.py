@@ -22,10 +22,8 @@ from repro.engine import (
 )
 from repro.engine.backends import (
     BACKEND_KINDS,
-    ENV_BACKEND_VAR,
     DiskBackend,
     SharedSQLiteBackend,
-    default_backend_kind,
     make_backend,
 )
 
@@ -52,17 +50,9 @@ class TestSelection:
         assert isinstance(make_backend("disk", tmp_path), DiskBackend)
         assert isinstance(make_backend("shared", tmp_path), SharedSQLiteBackend)
 
-    def test_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(ENV_BACKEND_VAR, raising=False)
-        assert default_backend_kind() == "disk"
-        monkeypatch.setenv(ENV_BACKEND_VAR, "shared")
-        assert default_backend_kind() == "shared"
-        cache = SummaryCache(tmp_path)
-        assert cache.backend_name == "shared"
-
-    def test_bad_env_falls_back_to_disk(self, monkeypatch):
-        monkeypatch.setenv(ENV_BACKEND_VAR, "redis")
-        assert default_backend_kind() == "disk"
+    def test_default_is_disk(self, tmp_path):
+        assert isinstance(make_backend(None, tmp_path), DiskBackend)
+        assert SummaryCache(tmp_path).backend_name == "disk"
 
     def test_unknown_kind_raises(self, tmp_path):
         with pytest.raises(ValueError, match="unknown cache backend"):

@@ -150,3 +150,25 @@ class TestRollup:
                       "count": 20, "shard": "2/2"})))
         merged = load_rollup([str(p1), str(p2)])
         assert merged["shards"] == 2
+
+
+class TestEntryPoint:
+    def test_module_runs_once_without_runtime_warning(self):
+        """``python -m repro.engine.campaign`` (the CI spelling) must not
+        find the module already imported by its package: that warns and
+        executes the module body twice."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.engine.campaign", "--help"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+        assert "panorama-campaign" in proc.stdout

@@ -17,6 +17,7 @@ from repro.engine import (
 )
 from repro.fortran import analyze, parse_program
 from repro.fortran.callgraph import build_call_graph
+from repro.perf import metrics
 from repro.regions import GARList
 from repro.symbolic import SymExpr
 
@@ -187,9 +188,9 @@ class TestSummaryCache:
         cache = SummaryCache()
         entry = make_entry()
         cache.put(entry)
-        before = cache.stats.copy()
+        before = dataclasses.replace(cache.stats)
         cache.get(entry.fingerprint)
-        delta = cache.stats.delta(before)
+        delta = metrics.delta(cache.stats, before)
         assert delta.hits == 1 and delta.stores == 0
 
 
@@ -275,6 +276,6 @@ class TestQuarantine:
         from repro.engine import CacheStats
 
         a, b = CacheStats(quarantined=2), CacheStats(quarantined=3)
-        a.merge(b)
+        metrics.fold(a, b)
         assert a.quarantined == 5
-        assert CacheStats(**a.as_dict()).quarantined == 5
+        assert metrics.from_dict(CacheStats, metrics.as_dict(a)).quarantined == 5

@@ -289,3 +289,41 @@ class TestEngineIntegration:
         assert res.payload == first.result("loop.f").payload
         assert second.telemetry.resilience["resumed_items"] == 1
         assert second.verdict_rows() == first.verdict_rows()
+
+
+class TestCommittedLedger:
+    """A ledger written by an earlier build still resumes.
+
+    ``data/campaign_crash_ledger.jsonl`` was written before the metric
+    groups were declared in ``repro.perf.metrics`` (ledger v1, cache
+    format 5) by ``PANORAMA_FAULTS=engine.crash@3 panorama-campaign
+    --count 6 --seed 3 --no-machine --ledger L``: a header, then three
+    items ``done`` (payload and ``cache_stats`` records) before the
+    injected hard crash.
+    """
+
+    ARGS = ["--count", "6", "--seed", "3", "--no-machine"]
+    SCOREBOARD = ("files", "errors", "loops", "parallel_loops", "verdicts")
+
+    def test_resume_matches_uninterrupted_run(self, tmp_path):
+        import shutil
+        from pathlib import Path
+
+        from repro.engine.campaign import main
+
+        ledger = tmp_path / "run.jsonl"
+        shutil.copy(Path(__file__).parent / "data" / "campaign_crash_ledger.jsonl",
+                    ledger)
+        done = replay(ledger).done
+        assert len(done) == 3
+        assert main([*self.ARGS, "--stats-json", str(tmp_path / "ref.json")]) == 0
+        assert main([*self.ARGS, "--resume", str(ledger),
+                     "--stats-json", str(tmp_path / "resumed.json")]) == 0
+        ref = json.loads((tmp_path / "ref.json").read_text())
+        resumed = json.loads((tmp_path / "resumed.json").read_text())
+        assert resumed["resilience"]["resumed_items"] == 3
+        for key in self.SCOREBOARD:
+            assert resumed[key] == ref[key], key
+        # the ledger's per-item cache deltas fold into the resumed run
+        ledger_misses = sum(r["cache_stats"]["misses"] for r in done.values())
+        assert resumed["cache"]["misses"] >= ledger_misses > 0

@@ -304,3 +304,16 @@ class TestIntrospection:
         assert stats["telemetry"]["loops"] == len(expected_rows(FIGURE_1A))
         assert stats["summary_cache"]["stores"] > 0
         assert stats["server"]["watch_sessions"] == 0
+
+    def test_stats_reports_the_summary_cache_once(self, tmp_path):
+        """The warm cache and its disk backend appear once, top level —
+        never again as a cold "memory" cache inside the roll-up."""
+        service = make_service(cache_dir=str(tmp_path))
+        for _ in range(2):
+            service.analyze({"source": FIGURE_1A})
+        stats = service.stats()
+        assert stats["cache_backend"] == "disk"
+        assert stats["summary_cache"]["hits"] > 0
+        assert stats["summary_cache"]["stores"] > 0
+        assert "cache" not in stats["telemetry"]
+        assert "cache_backend" not in stats["telemetry"]
